@@ -228,6 +228,42 @@ func BenchmarkSimEngine(b *testing.B) {
 		})
 		e.Run()
 	})
+	// Two procs taking turns through one Signal: each op is a Signal that
+	// wakes the peer plus a Wait that parks the caller.
+	b.Run("signal-handoff", func(b *testing.B) {
+		e := sim.NewEngine(1)
+		s := sim.NewSignal(e)
+		n := 0
+		turn := func(p *sim.Proc) {
+			for n < b.N {
+				n++
+				s.Signal()
+				s.Wait(p)
+			}
+			s.Signal()
+		}
+		e.Go("ping", turn)
+		e.Go("pong", turn)
+		e.Run()
+	})
+	// Two procs contending for a unit-capacity Resource: every Acquire
+	// but the first queues, and every Release hands the unit to the peer.
+	b.Run("resource-contended", func(b *testing.B) {
+		e := sim.NewEngine(1)
+		r := sim.NewResource(e, 1)
+		n := 0
+		work := func(p *sim.Proc) {
+			for n < b.N {
+				n++
+				r.Acquire(p, 0)
+				p.Sleep(1)
+				r.Release()
+			}
+		}
+		e.Go("a", work)
+		e.Go("b", work)
+		e.Run()
+	})
 }
 
 // BenchmarkHIPPISwitch measures the media model under back-to-back load.

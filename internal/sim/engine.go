@@ -2,18 +2,19 @@
 //
 // The engine advances a virtual clock by executing scheduled events in
 // (time, sequence) order. On top of raw events it offers blocking
-// *processes* (goroutines that park between simulation steps, in the style
-// of SimPy), counting semaphore *resources* with priorities, condition
-// *signals*, and FIFO *queues*. All scheduling is deterministic: ties are
-// broken by insertion order and the only source of randomness is an
-// explicitly seeded generator.
+// *processes* (coroutines that yield back to the event loop between
+// simulation steps, in the style of SimPy), counting semaphore *resources*
+// with priorities, condition *signals*, and FIFO *queues*. All scheduling
+// is deterministic: ties are broken by insertion order and the only source
+// of randomness is an explicitly seeded generator.
 //
-// The engine is single-threaded from the caller's point of view: events and
-// process steps never run concurrently, so simulation code needs no locks.
+// The engine is single-threaded: events and process steps never run
+// concurrently, so simulation code needs no locks. Events, waiter queues
+// and process wakeups are stored by value, so the steady-state event loop
+// allocates nothing.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -74,28 +75,57 @@ type Engine struct {
 type event struct {
 	at   units.Time
 	seq  int64
-	kind Kind
 	fn   func()
+	kind Kind
 }
 
-type eventHeap []*event
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// eventHeap is a binary min-heap of events ordered by (at, seq). Sequence
+// numbers are unique, so the order is total and any correct heap pops the
+// same sequence.
+type eventHeap []event
+
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	q, i := *h, len(*h)-1
+	for ; i > 0 && ev.before(&q[(i-1)/2]); i = (i - 1) / 2 {
+		q[i] = q[(i-1)/2]
 	}
-	return h[i].seq < h[j].seq
+	q[i] = ev
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) pop() event {
+	q, n := *h, len(*h)-1
+	top, last := q[0], q[n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i], i = q[c], c
+	}
+	q[i] = last
+	q[n] = event{} // drop the callback reference (i < n unless n == 0)
+	*h = q[:n]
+	return top
+}
+
+// popFront removes and returns the head of a FIFO, copying the rest down
+// so the backing array keeps its capacity for later appends.
+func popFront[T any](q *[]T) T {
+	s := *q
+	v := s[0]
+	n := copy(s, s[1:])
+	var zero T
+	s[n] = zero
+	*q = s[:n]
+	return v
 }
 
 // NewEngine returns an engine with its clock at zero and a deterministic
@@ -131,7 +161,7 @@ func (e *Engine) AtKind(t units.Time, kind Kind, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	heap.Push(&e.events, &event{at: t, seq: e.seq, kind: kind, fn: fn})
+	e.events.push(event{at: t, seq: e.seq, fn: fn, kind: kind})
 	if e.mon != nil {
 		e.mon.Scheduled(kind, len(e.events))
 	}
@@ -156,7 +186,7 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*event)
+	ev := e.events.pop()
 	e.now = ev.at
 	ev.fn()
 	if e.mon != nil {
@@ -211,13 +241,18 @@ func (e *Engine) LiveProcNames() []string {
 	return out
 }
 
-// KillAll terminates every parked process by unwinding its goroutine. It is
-// intended for teardown after a simulation completes; killed processes do
-// not run deferred simulation logic beyond their own defers.
+// KillAll terminates every live process — parked, or spawned but not yet
+// started — by unwinding it with its defers run. It is for teardown after
+// Run or RunUntil has returned (including after Stop); calling it while the
+// engine is running panics. Killed processes run no simulation logic
+// beyond their own defers; their pending wakeups become no-ops.
 func (e *Engine) KillAll() {
+	if e.running {
+		panic("sim: KillAll while the engine is running")
+	}
 	for p := range e.live {
-		if p.parkedNow {
-			e.deliver(p, procMsg{kill: true})
-		}
+		p.stop()
+		p.done = true
+		delete(e.live, p)
 	}
 }

@@ -425,3 +425,106 @@ func TestProcPanicPropagatesToEngine(t *testing.T) {
 	e.Run()
 	t.Fatal("panic not propagated")
 }
+
+// TestKillAllUnwindsUnstartedProcs: a proc spawned in the same event that
+// stops the engine has a start event pending but has never run. KillAll
+// must still retire it, and a later Run must not start it.
+func TestKillAllUnwindsUnstartedProcs(t *testing.T) {
+	e := NewEngine(1)
+	ran := false
+	e.At(5, func() {
+		e.Go("late", func(p *Proc) { ran = true })
+		e.Stop()
+	})
+	e.Run()
+	e.KillAll()
+	if names := e.LiveProcNames(); len(names) != 0 {
+		t.Fatalf("live procs after KillAll = %v, want none", names)
+	}
+	e.Run()
+	if ran {
+		t.Fatal("killed proc ran after KillAll")
+	}
+}
+
+func TestKillAllDuringRunPanics(t *testing.T) {
+	e := NewEngine(1)
+	e.Go("p", func(p *Proc) { p.Sleep(10) })
+	e.At(1, func() { e.KillAll() })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("KillAll inside Run did not panic")
+		}
+	}()
+	e.Run()
+}
+
+// The hand-offs below are the simulator's inner loop; each must allocate
+// nothing once queues and the event heap have grown to their working size.
+
+func assertNoAllocs(t *testing.T, what string, f func()) {
+	t.Helper()
+	if n := testing.AllocsPerRun(100, f); n != 0 {
+		t.Fatalf("%s allocates %.1f per run, want 0", what, n)
+	}
+}
+
+func TestSleepZeroAlloc(t *testing.T) {
+	e := NewEngine(1)
+	e.Go("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(1)
+		}
+	})
+	assertNoAllocs(t, "Sleep hand-off", func() { e.Step() })
+	e.KillAll()
+}
+
+func TestSignalZeroAlloc(t *testing.T) {
+	e := NewEngine(1)
+	s := NewSignal(e)
+	for i := 0; i < 3; i++ {
+		e.Go("w", func(p *Proc) {
+			for {
+				s.Wait(p)
+			}
+		})
+	}
+	e.Run()
+	assertNoAllocs(t, "Signal.Wait/Signal hand-off", func() {
+		s.Signal()
+		e.Run()
+	})
+	assertNoAllocs(t, "Broadcast hand-off", func() {
+		s.Broadcast()
+		e.Run()
+	})
+	e.KillAll()
+}
+
+func TestResourceContendedZeroAlloc(t *testing.T) {
+	e := NewEngine(1)
+	r := NewResource(e, 1)
+	for i := 0; i < 3; i++ {
+		e.Go("p", func(p *Proc) {
+			for {
+				r.Acquire(p, i)
+				p.Sleep(1)
+				r.Release()
+			}
+		})
+	}
+	assertNoAllocs(t, "contended Resource.Acquire/Release", func() {
+		e.RunUntil(e.Now() + 10)
+	})
+	e.KillAll()
+}
+
+func TestScheduleDispatchZeroAlloc(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	assertNoAllocs(t, "schedule and dispatch", func() {
+		e.AfterKind(1, KindTimer, fn)
+		e.Step()
+	})
+}

@@ -1,66 +1,68 @@
+//go:build go1.23
+
+// The constraint lifts this file to Go 1.23, where iter.Pull first
+// appears; the module itself still declares go 1.22.
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/units"
 )
 
-// Proc is a simulation process: a goroutine whose execution is interleaved
-// with the event loop. At any instant at most one process (or event) is
-// running; a process gives up control by blocking in Sleep, Signal.Wait,
-// Resource.Acquire, or Queue.Get.
+// Proc is a simulation process: a coroutine (iter.Pull) whose execution is
+// interleaved with the event loop. At any instant at most one process (or
+// event) is running; a process gives up control by blocking in Sleep,
+// Signal.Wait, Resource.Acquire, or Queue.Get, which yields back to the
+// event that resumed it. Switching is a direct coroutine hand-off, not a
+// goroutine reschedule.
 //
-// Proc methods that block must only be called from the process's own
-// goroutine. Methods that wake other processes (Signal.Broadcast and
-// friends) may be called from any simulation context; they take effect via
-// scheduled events.
+// Proc methods that block must only be called from the process itself.
+// Methods that wake other processes (Signal.Broadcast and friends) may be
+// called from any simulation context; they take effect via scheduled
+// events.
 type Proc struct {
-	eng       *Engine
-	name      string
-	resume    chan procMsg
-	parked    chan struct{}
-	done      bool
-	parkedNow bool
-	panicVal  any
+	eng     *Engine
+	name    string
+	next    func() (struct{}, bool) // resume until the next yield
+	stop    func()                  // unwind a parked or unstarted proc
+	yield   func(struct{}) bool     // false once the proc is killed
+	deliver func()                  // wake callback: run p until it parks (event context only)
+	wseq    uint64                  // current wait; waiters with another seq are stale
+	done    bool
 }
 
-type procMsg struct {
-	kill bool
-}
-
-// killSentinel unwinds a killed process goroutine.
+// killSentinel unwinds a killed process.
 type killSentinel struct{}
 
 // Go spawns a new process named name running fn. The process starts at the
-// current virtual time (after already-scheduled events at that time).
+// current virtual time (after already-scheduled events at that time). A
+// panic in fn is re-raised to the caller of Run.
 func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan procMsg),
-		parked: make(chan struct{}),
-	}
-	e.live[p] = struct{}{}
-	go func() {
+	p := &Proc{eng: e, name: name}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			r := recover()
-			if r != nil {
+			p.done = true
+			delete(e.live, p)
+			if r := recover(); r != nil {
 				if _, ok := r.(killSentinel); !ok {
-					// Hand the panic to the engine goroutine (the caller
-					// of Run), where tests can recover it.
-					p.panicVal = r
+					panic(r) // iter.Pull re-raises it from next, in Run's caller
 				}
 			}
-			p.done = true
-			p.parked <- struct{}{}
 		}()
-		if m := <-p.resume; m.kill {
-			panic(killSentinel{})
-		}
 		fn(p)
-	}()
-	e.AtKind(e.now, KindProc, func() { e.deliver(p, procMsg{}) })
+	})
+	// Built once here; every wakeup of p schedules this same callback.
+	p.deliver = func() {
+		if !p.done {
+			p.next()
+		}
+	}
+	e.live[p] = struct{}{}
+	e.AtKind(e.now, KindProc, p.deliver)
 	return p
 }
 
@@ -76,35 +78,19 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() units.Time { return p.eng.now }
 
-// deliver hands control to p and waits for it to park or finish. It must be
-// called from event context (never from another process's goroutine).
-func (e *Engine) deliver(p *Proc, m procMsg) {
-	if p.done {
-		return
-	}
-	p.parkedNow = false
-	p.resume <- m
-	<-p.parked
-	if p.done {
-		delete(e.live, p)
-		if p.panicVal != nil {
-			panic(p.panicVal)
-		}
-	}
-}
-
-// park blocks the calling process goroutine until the engine wakes it.
+// park yields the calling process back to the event loop until the engine
+// resumes it; a killed process unwinds from here.
 func (p *Proc) park() {
-	p.parkedNow = true
-	p.parked <- struct{}{}
-	if m := <-p.resume; m.kill {
+	if !p.yield(struct{}{}) {
 		panic(killSentinel{})
 	}
 }
 
-// wake schedules the engine to resume p at the current time.
+// wake schedules the engine to resume p at the current time. It consumes
+// p's current wait, so no other queued waiter or timeout can wake p twice.
 func (p *Proc) wake() {
-	p.eng.AtKind(p.eng.now, KindProc, func() { p.eng.deliver(p, procMsg{}) })
+	p.wseq++
+	p.eng.AtKind(p.eng.now, KindProc, p.deliver)
 }
 
 // Sleep blocks the process for d of virtual time.
@@ -112,7 +98,7 @@ func (p *Proc) Sleep(d units.Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v in %s", d, p.name))
 	}
-	p.eng.AfterKind(d, KindProc, func() { p.eng.deliver(p, procMsg{}) })
+	p.eng.AfterKind(d, KindProc, p.deliver)
 	p.park()
 }
 

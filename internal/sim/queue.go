@@ -24,23 +24,15 @@ func (q *Queue[T]) Get(p *Proc) T {
 	for len(q.items) == 0 {
 		q.signal.Wait(p)
 	}
-	v := q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
-	return v
+	return popFront(&q.items)
 }
 
 // TryGet removes and returns the oldest item without blocking.
-func (q *Queue[T]) TryGet() (T, bool) {
-	var zero T
+func (q *Queue[T]) TryGet() (v T, ok bool) {
 	if len(q.items) == 0 {
-		return zero, false
+		return v, false
 	}
-	v := q.items[0]
-	q.items[0] = zero
-	q.items = q.items[1:]
-	return v, true
+	return popFront(&q.items), true
 }
 
 // Len returns the number of queued items.

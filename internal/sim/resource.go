@@ -1,21 +1,21 @@
 package sim
 
+import "slices"
+
 // Resource is a counting semaphore with priority queuing, used to model
 // contended hardware: a CPU, a DMA engine, a bus. Lower prio values are
-// served first; within a priority, FIFO order (by request sequence) holds,
-// which keeps the simulation deterministic.
+// served first; within a priority, FIFO order (by request) holds, which
+// keeps the simulation deterministic.
 type Resource struct {
 	eng      *Engine
 	capacity int
 	inUse    int
-	seq      int64
-	queue    []*resWaiter
+	queue    []resWaiter // ordered by (prio, arrival)
 }
 
 type resWaiter struct {
 	p    *Proc
 	prio int
-	seq  int64
 }
 
 // NewResource returns a resource with the given capacity (≥1).
@@ -33,9 +33,12 @@ func (r *Resource) Acquire(p *Proc, prio int) {
 		r.inUse++
 		return
 	}
-	r.seq++
-	w := &resWaiter{p: p, prio: prio, seq: r.seq}
-	r.insert(w)
+	// Queue behind every waiter of equal or better priority.
+	i := len(r.queue)
+	for i > 0 && r.queue[i-1].prio > prio {
+		i--
+	}
+	r.queue = slices.Insert(r.queue, i, resWaiter{p, prio})
 	p.park()
 	// The releaser incremented inUse on our behalf before waking us.
 }
@@ -56,10 +59,8 @@ func (r *Resource) Release() {
 	}
 	r.inUse--
 	if len(r.queue) > 0 && r.inUse < r.capacity {
-		w := r.queue[0]
-		r.queue = r.queue[1:]
 		r.inUse++
-		w.p.wake()
+		popFront(&r.queue).p.wake()
 	}
 }
 
@@ -68,18 +69,3 @@ func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes waiting.
 func (r *Resource) QueueLen() int { return len(r.queue) }
-
-// insert places w in the queue ordered by (prio, seq).
-func (r *Resource) insert(w *resWaiter) {
-	i := len(r.queue)
-	for i > 0 {
-		q := r.queue[i-1]
-		if q.prio < w.prio || (q.prio == w.prio && q.seq < w.seq) {
-			break
-		}
-		i--
-	}
-	r.queue = append(r.queue, nil)
-	copy(r.queue[i+1:], r.queue[i:])
-	r.queue[i] = w
-}

@@ -6,74 +6,72 @@ import "repro/internal/units"
 // The zero value is not usable; create one with NewSignal.
 type Signal struct {
 	eng     *Engine
-	waiters []*waitToken
+	waiters []waiter
 }
 
-type waitToken struct {
-	p        *Proc
-	done     bool
-	timedOut bool
+// waiter is one queued wait. It goes stale once its proc's wseq moves on:
+// the wait was satisfied or timed out, or the proc has been woken since.
+type waiter struct {
+	p   *Proc
+	seq uint64
 }
+
+func (w waiter) live() bool { return w.seq == w.p.wseq }
 
 // NewSignal returns a signal bound to e.
 func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
 
 // Wait blocks p until the signal is signaled or broadcast.
 func (s *Signal) Wait(p *Proc) {
-	t := &waitToken{p: p}
-	s.waiters = append(s.waiters, t)
+	p.wseq++
+	s.waiters = append(s.waiters, waiter{p, p.wseq})
 	p.park()
 }
 
 // WaitTimeout blocks p until the signal fires or d elapses. It reports
 // whether the signal fired (false means timeout).
 func (s *Signal) WaitTimeout(p *Proc, d units.Time) bool {
-	t := &waitToken{p: p}
-	s.waiters = append(s.waiters, t)
+	p.wseq++
+	w := waiter{p, p.wseq}
+	s.waiters = append(s.waiters, w)
+	timedOut := false
 	s.eng.AfterKind(d, KindTimer, func() {
-		if t.done {
-			return
+		if w.live() {
+			timedOut = true
+			p.wseq++
+			p.deliver()
 		}
-		t.done = true
-		t.timedOut = true
-		s.eng.deliver(t.p, procMsg{})
 	})
 	p.park()
-	return !t.timedOut
+	return !timedOut
 }
 
 // Signal wakes the longest-waiting process, if any.
 func (s *Signal) Signal() {
 	for len(s.waiters) > 0 {
-		t := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		if t.done {
-			continue
+		if w := popFront(&s.waiters); w.live() {
+			w.p.wake()
+			return
 		}
-		t.done = true
-		t.p.wake()
-		return
 	}
 }
 
 // Broadcast wakes every waiting process.
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, t := range ws {
-		if t.done {
-			continue
+	for _, w := range s.waiters {
+		if w.live() {
+			w.p.wake()
 		}
-		t.done = true
-		t.p.wake()
 	}
+	clear(s.waiters)
+	s.waiters = s.waiters[:0]
 }
 
 // Waiting returns the number of processes currently waiting.
 func (s *Signal) Waiting() int {
 	n := 0
-	for _, t := range s.waiters {
-		if !t.done {
+	for _, w := range s.waiters {
+		if w.live() {
 			n++
 		}
 	}
