@@ -8,13 +8,14 @@
 //
 //	benchdiff -baseline . -fresh /tmp/bench [-rel 0.05] [-abs 1e-6] [files...]
 //
-// With no file arguments it checks BENCH_fig5.json through BENCH_fig9.json
-// plus BENCH_touches.json, BENCH_load.json, BENCH_sim.json,
-// BENCH_critpath.json, and BENCH_netobs.json. Touch-count files hold exact integer counts
-// (copies, checksums, DMA crossings per byte), so they get zero
-// tolerance: any drift in a data-touch count is a real behavior change,
-// never noise; the critical-path file's per-cause nanoseconds are pure
-// functions of the virtual event sequence and get the same treatment.
+// With no file arguments it checks every BENCH_*.json in the baseline
+// directory; a baseline with no fresh counterpart is a violation, so a
+// generator that stops writing a file fails the gate. Touch-count files
+// hold exact integer counts (copies, checksums, DMA crossings per byte),
+// so they get zero tolerance: any drift in a data-touch count is a real
+// behavior change, never noise; the critical-path file's per-cause
+// nanoseconds are pure functions of the virtual event sequence and get
+// the same treatment.
 // The load file's throughput and latency leaves get the relative
 // tolerance; its structure, flow counts, and order digests (strings) are
 // compared exactly, so the gate still pins event-ordering determinism.
@@ -39,6 +40,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -51,21 +53,6 @@ const (
 	defaultRel = 0.05
 	defaultAbs = 1e-6
 )
-
-// defaultFiles is the baseline set the CI gate checks.
-var defaultFiles = []string{
-	"BENCH_fig5.json",
-	"BENCH_fig6.json",
-	"BENCH_fig7.json",
-	"BENCH_fig8.json",
-	"BENCH_fig9.json",
-	"BENCH_touches.json",
-	"BENCH_load.json",
-	"BENCH_sim.json",
-	"BENCH_critpath.json",
-	"BENCH_netobs.json",
-	"BENCH_fabric.json",
-}
 
 // exactFiles are baselines of exact integer counts: compared with zero
 // tolerance regardless of -rel/-abs. BENCH_sim.json's deterministic
@@ -102,9 +89,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchdiff: -fresh is required")
 		os.Exit(2)
 	}
-	files := flag.Args()
+	if !gate(os.Stdout, os.Stderr, *baseDir, *freshDir, *rel, *abs, flag.Args()) {
+		os.Exit(1)
+	}
+}
+
+// gate diffs each named file (every BENCH_*.json in baseDir when files is
+// empty) and prints one verdict line per file to out; unreadable files
+// are reported on errOut. It reports whether every file passed.
+func gate(out, errOut io.Writer, baseDir, freshDir string, rel, abs float64, files []string) bool {
 	if len(files) == 0 {
-		files = defaultFiles
+		files, _ = filepath.Glob(filepath.Join(baseDir, "BENCH_*.json"))
+		for i, f := range files {
+			files[i] = filepath.Base(f)
+		}
+		if len(files) == 0 {
+			fmt.Fprintf(errOut, "benchdiff: no BENCH_*.json baselines in %s\n", baseDir)
+			return false
+		}
 	}
 
 	load := func(path string) (any, error) {
@@ -119,37 +121,35 @@ func main() {
 		return v, nil
 	}
 
-	failed := false
+	ok := true
 	for _, f := range files {
-		base, err := load(filepath.Join(*baseDir, f))
+		base, err := load(filepath.Join(baseDir, f))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchdiff: baseline: %v\n", err)
-			failed = true
+			fmt.Fprintf(errOut, "benchdiff: baseline: %v\n", err)
+			ok = false
 			continue
 		}
-		fresh, err := load(filepath.Join(*freshDir, f))
+		fresh, err := load(filepath.Join(freshDir, f))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchdiff: fresh: %v\n", err)
-			failed = true
+			fmt.Fprintf(errOut, "benchdiff: fresh: %v\n", err)
+			ok = false
 			continue
 		}
-		fileRel, fileAbs := *rel, *abs
+		fileRel, fileAbs := rel, abs
 		if exactFiles[f] {
 			fileRel, fileAbs = 0, 0
 		}
 		diff := Compare(f, base, fresh, fileRel, fileAbs)
-		fmt.Println(diff.Summary(f))
+		fmt.Fprintln(out, diff.Summary(f))
 		if len(diff.Violations) > 0 {
-			failed = true
+			ok = false
 			for _, v := range diff.Violations {
-				fmt.Printf("  %s\n", v)
+				fmt.Fprintf(out, "  %s\n", v)
 			}
 		}
 		for _, a := range diff.Advisories {
-			fmt.Printf("  adv  %s\n", a)
+			fmt.Fprintf(out, "  adv  %s\n", a)
 		}
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return ok
 }

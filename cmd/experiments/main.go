@@ -3,10 +3,13 @@
 //
 // Usage:
 //
-//	experiments -exp fig5|fig6|fig7|fig8|fig9|table1|table2|analysis|hol|window|lazy|threshold|chaos|load|simbench|critpath|recover|netobs|fabric|all
+//	experiments -exp fig5|fig6|fig7|fig8|fig9|table1|table2|analysis|hol|window|lazy|threshold|chaos|touches|load|simbench|critpath|recover|netobs|fabric|all
 //	experiments -exp fig5 -quick   # fewer sizes, faster
-//	experiments -exp bench         # regenerate every BENCH_fig*.json baseline
+//	experiments -exp bench         # regenerate every BENCH_*.json baseline
 //	experiments -exp simbench -cpuprofile cpu.pprof   # profile the simulator itself
+//
+// Every experiment that owns a committed BENCH_*.json file is one row of
+// the benches table; -exp bench runs every row at the full grid.
 package main
 
 import (
@@ -23,25 +26,92 @@ import (
 	"repro/internal/units"
 )
 
+// report is what a BENCH row produces: the baseline bytes and a table.
+type report interface {
+	JSON() []byte
+	Format() string
+}
+
+// bench is one row of the experiment table: the experiment name, the
+// BENCH file it owns, and how to run it. run may return a report together
+// with an error (an oracle that failed over a complete report); the report
+// is still printed and written before the error fails the command.
+type bench struct {
+	name, file string
+	run        func(quick bool) (report, error)
+}
+
+// quickSizes is the reduced -quick sweep for the figure rows.
+var quickSizes = []units.Size{4 * units.KB, 16 * units.KB, 64 * units.KB, 256 * units.KB}
+
+func sweep(quick bool) []units.Size {
+	if quick {
+		return quickSizes
+	}
+	return exp.DefaultSizes()
+}
+
+// ok adapts a (value, error) result whose value is meaningless on error.
+func ok[T report](v T, err error) (report, error) {
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// bd caches the Figure 7–9 family: one sweep feeds all three rows.
+var bd struct {
+	done, quick bool
+	f7, f8      exp.BreakdownFigure
+	f9          exp.DecompFigure
+}
+
+func breakdowns(quick bool) (exp.BreakdownFigure, exp.BreakdownFigure, exp.DecompFigure) {
+	if !bd.done || bd.quick != quick {
+		bd.f7, bd.f8, bd.f9 = exp.RunBreakdowns(sweep(quick))
+		bd.done, bd.quick = true, quick
+	}
+	return bd.f7, bd.f8, bd.f9
+}
+
+var benches = []bench{
+	{"fig5", "BENCH_fig5.json", func(q bool) (report, error) { return exp.Figure5(sweep(q)), nil }},
+	{"fig6", "BENCH_fig6.json", func(q bool) (report, error) { return exp.Figure6(sweep(q)), nil }},
+	{"fig7", "BENCH_fig7.json", func(q bool) (report, error) { f, _, _ := breakdowns(q); return f, nil }},
+	{"fig8", "BENCH_fig8.json", func(q bool) (report, error) { _, f, _ := breakdowns(q); return f, nil }},
+	{"fig9", "BENCH_fig9.json", func(q bool) (report, error) { _, _, f := breakdowns(q); return f, nil }},
+	// The single-copy auditor: the report is complete even when an
+	// oracle fails, so it is written before the command exits 1.
+	{"touches", "BENCH_touches.json", func(bool) (report, error) { return exp.RunTouches(1) }},
+	{"load", "BENCH_load.json", func(bool) (report, error) { return ok(exp.RunLoadBench()) }},
+	{"simbench", "BENCH_sim.json", func(q bool) (report, error) { return ok(exp.RunSimBench(q)) }},
+	{"critpath", "BENCH_critpath.json", func(q bool) (report, error) { return ok(exp.RunCritPath(q)) }},
+	{"recover", "BENCH_recover.json", func(bool) (report, error) { return ok(exp.RunRecoverBench()) }},
+	{"netobs", "BENCH_netobs.json", func(bool) (report, error) { return ok(exp.RunNetObs()) }},
+	{"fabric", "BENCH_fabric.json", func(bool) (report, error) { return ok(exp.RunFabric()) }},
+}
+
 func main() {
 	which := flag.String("exp", "all", "experiment: fig5..fig9, table1, table2, analysis, hol, window, lazy, threshold, chaos, touches, load, simbench, critpath, recover, netobs, fabric, bench, all")
 	quick := flag.Bool("quick", false, "use a reduced size sweep for the figures")
 	csv := flag.Bool("csv", false, "emit figures as CSV instead of tables")
 	metricsOut := flag.String("metrics", "", "write a telemetry snapshot of one instrumented transfer to this JSON file")
-	benchDir := flag.String("benchdir", ".", "directory for the BENCH_fig5.json / BENCH_fig6.json perf-trajectory files")
+	benchDir := flag.String("benchdir", ".", "directory for the BENCH_*.json perf-trajectory files")
 	cpuProf := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProf := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
 
+	fail := func(err error) {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
+	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -66,173 +136,41 @@ func main() {
 		}()
 	}
 
-	sizes := exp.DefaultSizes()
-	if *quick {
-		sizes = []units.Size{4 * units.KB, 16 * units.KB, 64 * units.KB, 256 * units.KB}
-	}
-
-	// writeBench records a figure's curves as machine-readable JSON so
-	// future changes have a perf trajectory to diff against.
-	writeBench := func(file string, data []byte) {
-		path := filepath.Join(*benchDir, file)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+	// runBench runs one table row, prints its table (unless quiet), and
+	// records its BENCH file so later changes have a trajectory to diff.
+	runBench := func(b bench, quick, quiet bool) {
+		rep, err := b.run(quick)
+		if rep != nil {
+			if f, isFig := rep.(exp.Figure); !quiet && isFig && *csv {
+				fmt.Print(f.CSV())
+			} else if !quiet {
+				fmt.Println(rep.Format())
+			}
+			path := filepath.Join(*benchDir, b.file)
+			if err := os.WriteFile(path, rep.JSON(), 0o644); err != nil {
+				fail(err)
+			}
+			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", b.name, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	}
-
-	// The Figure 7–9 family comes from one sweep; cache it across cases.
-	var (
-		bdDone     bool
-		fig7, fig8 exp.BreakdownFigure
-		fig9       exp.DecompFigure
-	)
-	breakdowns := func() (exp.BreakdownFigure, exp.BreakdownFigure, exp.DecompFigure) {
-		if !bdDone {
-			fig7, fig8, fig9 = exp.RunBreakdowns(sizes)
-			bdDone = true
-		}
-		return fig7, fig8, fig9
 	}
 
 	run := func(name string) {
+		for _, b := range benches {
+			if b.name == name {
+				runBench(b, *quick, false)
+				return
+			}
+		}
 		switch name {
-		case "fig5":
-			fig := exp.Figure5(sizes)
-			if *csv {
-				fmt.Print(fig.CSV())
-			} else {
-				fmt.Println(fig.Format())
-			}
-			writeBench("BENCH_fig5.json", fig.JSON())
-		case "fig6":
-			fig := exp.Figure6(sizes)
-			if *csv {
-				fmt.Print(fig.CSV())
-			} else {
-				fmt.Println(fig.Format())
-			}
-			writeBench("BENCH_fig6.json", fig.JSON())
-		case "fig7":
-			f7, _, _ := breakdowns()
-			fmt.Println(f7.Format())
-			writeBench("BENCH_fig7.json", f7.JSON())
-		case "fig8":
-			_, f8, _ := breakdowns()
-			fmt.Println(f8.Format())
-			writeBench("BENCH_fig8.json", f8.JSON())
-		case "fig9":
-			_, _, f9 := breakdowns()
-			fmt.Println(f9.Format())
-			writeBench("BENCH_fig9.json", f9.JSON())
 		case "bench":
-			// Regenerate every perf baseline with the full size sweep,
-			// regardless of -quick: the committed files and the CI gate
-			// must agree on the grid.
-			writeBench("BENCH_fig5.json", exp.Figure5(nil).JSON())
-			writeBench("BENCH_fig6.json", exp.Figure6(nil).JSON())
-			f7, f8, f9 := exp.RunBreakdowns(nil)
-			writeBench("BENCH_fig7.json", f7.JSON())
-			writeBench("BENCH_fig8.json", f8.JSON())
-			writeBench("BENCH_fig9.json", f9.JSON())
-			rep, err := exp.RunTouches(1)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			writeBench("BENCH_touches.json", rep.JSON())
-			lb, err := exp.RunLoadBench()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			writeBench("BENCH_load.json", lb.JSON())
-			sb, err := exp.RunSimBench(false)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			writeBench("BENCH_sim.json", sb.JSON())
-			cb, err := exp.RunCritPath(false)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			writeBench("BENCH_critpath.json", cb.JSON())
-			rb, err := exp.RunRecoverBench()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			writeBench("BENCH_recover.json", rb.JSON())
-			nb, err := exp.RunNetObs()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			writeBench("BENCH_netobs.json", nb.JSON())
-			fb, err := exp.RunFabric()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			writeBench("BENCH_fabric.json", fb.JSON())
-		case "fabric":
-			fb, err := exp.RunFabric()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(fb.Format())
-			writeBench("BENCH_fabric.json", fb.JSON())
-		case "netobs":
-			nb, err := exp.RunNetObs()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(nb.Format())
-			writeBench("BENCH_netobs.json", nb.JSON())
-		case "recover":
-			rb, err := exp.RunRecoverBench()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(rb.Format())
-			writeBench("BENCH_recover.json", rb.JSON())
-		case "critpath":
-			cb, err := exp.RunCritPath(*quick)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(cb.Format())
-			writeBench("BENCH_critpath.json", cb.JSON())
-		case "simbench":
-			sb, err := exp.RunSimBench(*quick)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(sb.Format())
-			writeBench("BENCH_sim.json", sb.JSON())
-		case "load":
-			lb, err := exp.RunLoadBench()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(lb.Format())
-			writeBench("BENCH_load.json", lb.JSON())
-		case "touches":
-			rep, err := exp.RunTouches(1)
-			fmt.Println(rep.Format())
-			writeBench("BENCH_touches.json", rep.JSON())
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "touches: %v\n", err)
-				os.Exit(1)
+			// Every baseline at the full grid, regardless of -quick: the
+			// committed files and the gate must agree on the grid.
+			for _, b := range benches {
+				runBench(b, false, true)
 			}
 		case "table1":
 			fmt.Println(taxonomy.Format())
@@ -273,8 +211,7 @@ func main() {
 	if *metricsOut != "" {
 		snap := exp.MetricsRun(64*units.KB, 1)
 		if err := os.WriteFile(*metricsOut, snap.JSON(), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *metricsOut)
 	}

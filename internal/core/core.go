@@ -79,6 +79,8 @@ type Host struct {
 	Drv  *cabdrv.Driver
 	Eth  *ethdev.Driver
 	Lo   *loop.Loopback
+
+	tasks []*kern.Task // made by NewUserTask, for Testbed.Leaks
 }
 
 // Testbed is a set of hosts joined by a HIPPI switch (and optionally a
@@ -453,7 +455,30 @@ func (h *Host) NewUserTask(name string, spaceSize units.Size) *kern.Task {
 	}
 	space := mem.NewAddrSpace(fmt.Sprintf("%s/%s", h.Name, name),
 		spaceSize, h.K.Mach.PageSize)
-	return h.K.NewTask(name, kern.PrioUser, space)
+	t := h.K.NewTask(name, kern.PrioUser, space)
+	h.tasks = append(h.tasks, t)
+	return t
+}
+
+// Leaks reports the resources a drained run still holds: netmem pages
+// allocated on any host's CAB, and pinned pages in the address space of
+// any task made with Host.NewUserTask. Each entry is one failure message;
+// nil means nothing leaked.
+func (tb *Testbed) Leaks() []string {
+	var out []string
+	for _, h := range tb.Hosts {
+		if free, tot := h.CAB.FreePages(), h.CAB.TotalPages(); free != tot {
+			out = append(out, fmt.Sprintf("leak: host %s holds %d netmem pages after drain", h.Name, tot-free))
+		}
+	}
+	for _, h := range tb.Hosts {
+		for _, t := range h.tasks {
+			if n := t.Space.PinnedPages(); n != 0 {
+				out = append(out, fmt.Sprintf("leak: task %s holds %d pinned pages after drain", t.Name, n))
+			}
+		}
+	}
+	return out
 }
 
 // SocketConfig returns the socket configuration matching the host's stack

@@ -381,3 +381,34 @@ func TestUDPTransfer(t *testing.T) {
 		t.Fatal("sender CAB pages leaked (UDP should free after send)")
 	}
 }
+
+// TestLeaks: the drained-run leak check names every netmem page still
+// allocated and every page still pinned in a user task, and is silent
+// once both are released.
+func TestLeaks(t *testing.T) {
+	tb, a, b := twoHosts(socket.ModeSingleCopy)
+	task := b.NewUserTask("rcv", 0)
+	if l := tb.Leaks(); l != nil {
+		t.Fatalf("fresh testbed leaks: %v", l)
+	}
+
+	pk, ok := a.CAB.AllocPacket(8 * units.KB)
+	if !ok {
+		t.Fatal("netmem allocation failed")
+	}
+	page := b.K.Mach.PageSize
+	task.Space.Pin(0, 2*page)
+	want := []string{
+		"leak: host A holds 1 netmem pages after drain",
+		"leak: task rcv holds 2 pinned pages after drain",
+	}
+	if got := tb.Leaks(); len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("Leaks() = %q, want %q", got, want)
+	}
+
+	pk.Free()
+	task.Space.Unpin(0, 2*page)
+	if l := tb.Leaks(); l != nil {
+		t.Fatalf("released resources still reported: %v", l)
+	}
+}

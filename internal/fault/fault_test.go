@@ -229,6 +229,15 @@ func TestParsePlanPositionalErrors(t *testing.T) {
 			[]string{"rule 1", "partition", `link=""`, "leaf0-spine1"}},
 		{"partition:at=5ms,dur=2ms,link=leaf0-spine1,src=2",
 			[]string{"rule 1", "partition", "link=leaf0-spine1", "src/dst"}},
+		// Out-of-range numbers are errors, never a wrapped negative
+		// duration or size (a negative dur would leave Until=0: an
+		// open-ended partition).
+		{"partition:at=1ms,dur=9300000000s",
+			[]string{"rule 1", "partition", `"9300000000s"`, "overflows"}},
+		{"drop:every=13;drop:min=9000000000000000M",
+			[]string{"rule 2", "drop", `"9000000000000000M"`, "overflows"}},
+		{"netmem:at=9000000000s,dur=900000000s",
+			[]string{"rule 1", "netmem", "overflows"}},
 	}
 	for _, c := range cases {
 		_, err := ParsePlan(c.spec)

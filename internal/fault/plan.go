@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -83,6 +84,9 @@ func ParsePlan(spec string) ([]Rule, error) {
 // params are parsed.
 func finishRule(r *Rule, sawAnchor bool) error {
 	if r.Dur > 0 && r.Until == 0 {
+		if r.From > math.MaxInt64-r.Dur {
+			return fmt.Errorf("window at=%v + dur=%v overflows virtual time", r.From, r.Dur)
+		}
 		r.Until = r.From + r.Dur
 	}
 	switch {
@@ -299,20 +303,27 @@ func parseDur(s string) (units.Time, error) {
 	if err != nil || n < 0 {
 		return 0, fmt.Errorf("bad duration %q", s)
 	}
+	if n > math.MaxInt64/int64(mult) {
+		return 0, fmt.Errorf("bad duration %q (overflows virtual time)", s)
+	}
 	return units.Time(n) * mult, nil
 }
 
 func parseSize(s string) (units.Size, error) {
 	mult := units.Size(1)
+	num := s
 	switch {
 	case strings.HasSuffix(s, "K"), strings.HasSuffix(s, "k"):
-		mult, s = units.KB, s[:len(s)-1]
+		mult, num = units.KB, s[:len(s)-1]
 	case strings.HasSuffix(s, "M"), strings.HasSuffix(s, "m"):
-		mult, s = units.MB, s[:len(s)-1]
+		mult, num = units.MB, s[:len(s)-1]
 	}
-	n, err := strconv.ParseInt(s, 10, 64)
+	n, err := strconv.ParseInt(num, 10, 64)
 	if err != nil || n < 0 {
 		return 0, fmt.Errorf("bad size %q", s)
+	}
+	if n > math.MaxInt64/int64(mult) {
+		return 0, fmt.Errorf("bad size %q (overflows)", s)
 	}
 	return units.Size(n) * mult, nil
 }

@@ -303,16 +303,7 @@ func RunRecover(c RecoverCase) RecoverOutcome {
 	// Invariant: zero resource leaks — no netmem page may stay allocated
 	// and no user page pinned once the run drains, even though the reset
 	// wiped descriptors mid-flight.
-	for _, h := range []*core.Host{a, b} {
-		if free, tot := h.CAB.FreePages(), h.CAB.TotalPages(); free != tot {
-			o.failf("leak: host %s holds %d netmem pages after drain", h.Name, tot-free)
-		}
-	}
-	for _, t := range []*kern.Task{st, rt} {
-		if n := t.Space.PinnedPages(); n != 0 {
-			o.failf("leak: task %s holds %d pinned pages after drain", t.Name, n)
-		}
-	}
+	o.Failures = append(o.Failures, tb.Leaks()...)
 
 	// Invariant: conservation. Partitioned frames are wire drops accounted
 	// to the partition window.

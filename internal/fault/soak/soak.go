@@ -182,16 +182,7 @@ func Run(c Case) Outcome {
 	}
 
 	// Invariant: zero resource leaks.
-	for _, h := range []*core.Host{a, b} {
-		if free, tot := h.CAB.FreePages(), h.CAB.TotalPages(); free != tot {
-			o.failf("leak: host %s holds %d netmem pages after drain", h.Name, tot-free)
-		}
-	}
-	for _, t := range []*kern.Task{st, rt} {
-		if n := t.Space.PinnedPages(); n != 0 {
-			o.failf("leak: task %s holds %d pinned pages after drain", t.Name, n)
-		}
-	}
+	o.Failures = append(o.Failures, tb.Leaks()...)
 
 	checkConservation(&o, tb, a, b, inj)
 
