@@ -13,23 +13,17 @@
 // carries an order digest over every delivery event), so loadgen output
 // can be diffed to check determinism across code changes.
 //
-// -engobs prints the simulator's own meta-profile (events dispatched per
-// kind, queue high-waters, advisory events/sec and allocs/event) after
-// the run, and -cpuprofile/-memprofile capture pprof profiles of the
-// simulator process — the tools for making big runs cheaper:
+// -obs turns observers on: each prints its text summary after the report
+// (on stderr under -json) and, with -obs-dir, writes its files there.
+// loadgen serves critpath (critpath.json), series (series.json,
+// series.csv; the sampler stops when the last client flow finishes),
+// netobs (the per-flow congestion postmortem; netobs.json,
+// netobs-chrome.json), engine (the simulator meta-profile: events per
+// kind, queue high-waters, advisory events/sec and allocs/event) and
+// pprof (cpu.pprof, mem.pprof of the simulator process):
 //
-//	loadgen -flows 1024 -openloop -rate 2000 -arb -engobs -cpuprofile cpu.pprof
-//
-// -netobs enables the transport-dynamics observatory and prints the
-// per-flow congestion postmortem (verdicts like netmem-starved or
-// RTO-bound next to the retransmission taxonomy and wire-port busy
-// fractions); -netobs-json dumps the raw recorder, -netobs-chrome writes
-// Chrome-trace counter tracks. -series/-series-csv write the testbed
-// utilization time-series, sampled every -series-interval-us of virtual
-// time (the sampler stops when the last client flow finishes):
-//
-//	loadgen -flows 11 -bulk -duration 120ms -warmup 20ms -netobs
-//	loadgen -flows 11 -bulk -duration 120ms -arb -series series.json
+//	loadgen -flows 11 -bulk -duration 120ms -warmup 20ms -obs netobs
+//	loadgen -flows 1024 -openloop -rate 2000 -arb -obs engine,pprof -obs-dir prof
 //
 // -topology routes the testbed through a multi-switch fabric
 // (internal/fabric) instead of the classic single switch, with seeded
@@ -37,24 +31,27 @@
 // control, and -queuecap/-ecnthresh set the per-port wire queue cap and
 // the fabric's CE-marking threshold:
 //
-//	loadgen -topology leafspine:4x2 -cc dctcp -queuecap 256 -flows 64 -bulk -netobs
+//	loadgen -topology leafspine:4x2 -cc dctcp -queuecap 256 -flows 64 -bulk -obs netobs
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"repro/internal/cab"
+	"repro/internal/core"
 	"repro/internal/load"
 	"repro/internal/obs/engine"
 	"repro/internal/socket"
 	"repro/internal/units"
 )
+
+// obsNames are the observers loadgen serves: those a load.Run report
+// carries, the engine observer it attaches itself, and pprof.
+var obsNames = []string{"critpath", "series", "netobs", "engine", "pprof"}
 
 func main() {
 	var (
@@ -93,51 +90,15 @@ func main() {
 
 		jsonOut = flag.Bool("json", false, "emit the full report as JSON")
 
-		seriesOut        = flag.String("series", "", "write the utilization time-series JSON to this path")
-		seriesCSV        = flag.String("series-csv", "", "write the utilization time-series CSV to this path")
-		seriesIntervalUS = flag.Int64("series-interval-us", 100, "series sampling interval, µs of virtual time")
-
-		netobsFlag   = flag.Bool("netobs", false, "record per-flow TCP dynamics and wire-port telemetry and print the congestion postmortem")
-		netobsJSON   = flag.String("netobs-json", "", "write the full transport-dynamics recorder dump to this path")
-		netobsChrome = flag.String("netobs-chrome", "", "write the transport-dynamics series as Chrome-trace counter tracks to this path")
-
-		engObs  = flag.Bool("engobs", false, "print the simulator meta-profile (engine event counters) after the run")
-		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
+		obsList = flag.String("obs", "", "observers to turn on, comma-separated: "+strings.Join(obsNames, ","))
+		obsDir  = flag.String("obs-dir", "", "write each selected observer's files to this directory")
 	)
 	flag.Parse()
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *cpuProf)
-		}()
-	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *memProf)
-		}()
+	sel, err := core.ParseObs(*obsList, *obsDir, obsNames...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
+		os.Exit(2)
 	}
 
 	s := load.Scenario{
@@ -164,6 +125,9 @@ func main() {
 		QueueCap:       units.Size(*queuecap) * units.KB,
 		ECNThreshold:   units.Size(*ecnthresh) * units.KB,
 		MTU:            units.Size(*mtu),
+		CritPath:       sel.Has("critpath"),
+		Series:         sel.Has("series"),
+		NetObs:         sel.Has("netobs"),
 	}
 	switch *mode {
 	case "single_copy":
@@ -186,18 +150,12 @@ func main() {
 	if *arb {
 		s.Arbiter = &cab.ArbConfig{}
 	}
-	if *seriesOut != "" || *seriesCSV != "" {
-		s.Series = units.Time(*seriesIntervalUS) * units.Microsecond
+	var eng *engine.Observer
+	if sel.Has("engine") {
+		eng = engine.New()
+		s.EngObs = eng
 	}
-	if *netobsFlag || *netobsJSON != "" || *netobsChrome != "" {
-		s.NetObs = true
-	}
-
-	var o *engine.Observer
-	if *engObs {
-		o = engine.New()
-		s.EngObs = o
-	}
+	die(sel.Start(nil))
 	rep, err := load.Run(s)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
@@ -235,41 +193,13 @@ func main() {
 		}
 		fmt.Printf("  order_digest=%s\n", rep.OrderDigest)
 	}
-	if *netobsFlag && rep.NetObs != nil {
-		// With -json the report owns stdout (and already embeds the
-		// postmortem); keep the human rendering on stderr there.
-		out := os.Stdout
-		if *jsonOut {
-			out = os.Stderr
-		}
-		fmt.Fprint(out, rep.NetObs.Format())
+	// With -json the report owns stdout; keep it machine-parseable.
+	out := os.Stdout
+	if *jsonOut {
+		out = os.Stderr
 	}
-	if *netobsJSON != "" && rep.NetObsRec != nil {
-		die(os.WriteFile(*netobsJSON, rep.NetObsRec.Snapshot().JSON(), 0o644))
-	}
-	if *netobsChrome != "" && rep.NetObsRec != nil {
-		die(os.WriteFile(*netobsChrome, rep.NetObsRec.Chrome(), 0o644))
-	}
-	if rep.Series != nil {
-		snap := rep.Series.Snapshot()
-		if *seriesOut != "" {
-			die(os.WriteFile(*seriesOut, snap.JSON(), 0o644))
-		}
-		if *seriesCSV != "" {
-			die(os.WriteFile(*seriesCSV, []byte(snap.CSV()), 0o644))
-		}
-	}
-	if o != nil {
-		// With -json the report owns stdout; keep it machine-parseable.
-		out := os.Stdout
-		if *jsonOut {
-			out = os.Stderr
-		}
-		fmt.Fprintln(out, "engine meta-profile:")
-		for _, line := range strings.Split(strings.TrimRight(o.Snapshot().Format(), "\n"), "\n") {
-			fmt.Fprintf(out, "  %s\n", line)
-		}
-	}
+	die(sel.Write(out, core.Observed{Crit: rep.Crit, Series: rep.Series,
+		NetObs: rep.NetObsRec, Postmortem: rep.NetObs, Eng: eng}))
 	if rep.Errors != 0 {
 		fmt.Fprintf(os.Stderr, "loadgen: %d flow errors (first: %s)\n", rep.Errors, rep.FirstError)
 		os.Exit(1)

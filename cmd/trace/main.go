@@ -5,33 +5,35 @@
 //
 // Usage:
 //
-//	trace [-n 40] [-host A|B|both] [-dir in|out|both] [-json]
-//	      [-flow <port>] [-chrome out.json]
-//	      [-critpath] [-critpath-chrome out.json]
-//	      [-netobs dump.json -chrome out.json]
+//	trace [-n 40] [-host A|B|both] [-dir in|out|both] [-json] [-flow <port>]
+//	      [-obs telemetry,critpath,...] [-obs-dir DIR]
+//	      [-netobs dump.json -obs-dir DIR]
 //
 // -json emits one JSON object per event (machine-readable) instead of the
 // tcpdump-style line. -flow keeps only the segments of one flow (the data
-// sender's port; the simulator's first ephemeral port is 10001). -chrome
-// writes the data-path spans as Chrome trace-event JSON — filtered to
-// -flow when given — with flow-binding ("s"/"f") events so one byte
-// range's journey renders as cross-host arrows in Perfetto.
+// sender's port; the simulator's first ephemeral port is 10001).
 //
-// -critpath records happens-before graphs for the transfer and prints
-// every completed read's critical-path waterfall: each row is one
-// lifecycle event with the cause class and duration of the stall edge
-// that delivered it, and the per-cause sums reconstruct the end-to-end
-// latency exactly. -critpath-chrome writes the same paths as Chrome
-// trace-event JSON (one track per cause class, loadable in Perfetto).
+// -obs turns observers on, as in ttcp: each prints its text summary after
+// the trace (on stderr under -json) and, with -obs-dir, writes its files
+// there. telemetry writes trace.json, the data-path spans as Chrome
+// trace-event JSON — filtered to -flow when given — with flow-binding
+// ("s"/"f") events so one byte range's journey renders as cross-host
+// arrows in Perfetto. critpath prints every completed read's
+// critical-path waterfall: each row is one lifecycle event with the cause
+// class and duration of the stall edge that delivered it, and the
+// per-cause sums reconstruct the end-to-end latency exactly;
+// critpath.json holds the same paths as Chrome trace-event JSON (one
+// track per cause class).
 //
 // -netobs skips the built-in transfer entirely and instead re-renders a
-// saved transport-dynamics dump (loadgen -netobs-json) as Chrome counter
-// tracks. Multi-switch fabrics work: trunk ports carry switch-namespaced
-// synthetic ids and are labeled by trunk name ("link leaf0-spine1>"), so
-// the export can't collide on duplicate port numbers:
+// saved transport-dynamics dump (loadgen's netobs.json) as Chrome counter
+// tracks in DIR/netobs-chrome.json. Multi-switch fabrics work: trunk
+// ports carry switch-namespaced synthetic ids and are labeled by trunk
+// name ("link leaf0-spine1>"), so the export can't collide on duplicate
+// port numbers:
 //
-//	loadgen -topology leafspine:4x2 -flows 64 -bulk -netobs-json dump.json
-//	trace -netobs dump.json -chrome wire.json
+//	loadgen -topology leafspine:4x2 -flows 64 -bulk -obs netobs -obs-dir run
+//	trace -netobs run/netobs.json -obs-dir wire
 package main
 
 import (
@@ -39,10 +41,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 
 	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/obs/critpath"
 	"repro/internal/obs/netobs"
 	"repro/internal/sim"
 	"repro/internal/socket"
@@ -57,49 +59,42 @@ func main() {
 	dirF := flag.String("dir", "both", "direction filter: in, out, both")
 	jsonF := flag.Bool("json", false, "emit events as JSON lines")
 	flowF := flag.Int("flow", 0, "only trace segments of this flow (the data sender's port; 0 = all)")
-	chromeOut := flag.String("chrome", "", "write data-path spans as Chrome trace-event JSON to this path")
-	critFlag := flag.Bool("critpath", false, "print every completed read's critical-path waterfall with stall attribution")
-	critChrome := flag.String("critpath-chrome", "", "write the critical paths as Chrome trace-event JSON to this path")
-	netobsIn := flag.String("netobs", "", "re-render this saved transport-dynamics dump (loadgen -netobs-json) as Chrome counter tracks instead of running a transfer")
+	netobsIn := flag.String("netobs", "", "re-render this saved transport-dynamics dump (loadgen's netobs.json) as Chrome counter tracks in -obs-dir instead of running a transfer")
+	obsList := flag.String("obs", "", "observers to turn on, comma-separated: "+strings.Join(core.ObsNames(), ","))
+	obsDir := flag.String("obs-dir", "", "write each selected observer's files to this directory")
 	flag.Parse()
 
 	if *netobsIn != "" {
-		if *chromeOut == "" {
-			fmt.Fprintln(os.Stderr, "trace: -netobs needs -chrome <out.json>")
+		if *obsDir == "" {
+			fmt.Fprintln(os.Stderr, "trace: -netobs needs -obs-dir DIR")
 			os.Exit(2)
 		}
 		raw, err := os.ReadFile(*netobsIn)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-			os.Exit(1)
-		}
+		die(err)
 		var dump netobs.Dump
 		if err := json.Unmarshal(raw, &dump); err != nil {
 			fmt.Fprintf(os.Stderr, "trace: %s: %v\n", *netobsIn, err)
 			os.Exit(1)
 		}
-		if err := os.WriteFile(*chromeOut, dump.Chrome(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d flows, %d wires)\n",
-			*chromeOut, len(dump.Flows), len(dump.Wires))
+		out := filepath.Join(*obsDir, "netobs-chrome.json")
+		die(os.MkdirAll(*obsDir, 0o755))
+		die(os.WriteFile(out, dump.Chrome(), 0o644))
+		fmt.Fprintf(os.Stderr, "wrote %s (%d flows, %d wires)\n", out, len(dump.Flows), len(dump.Wires))
 		return
 	}
 
+	sel, err := core.ParseObs(*obsList, *obsDir)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "trace:", err)
+		os.Exit(2)
+	}
 	if *dirF != "in" && *dirF != "out" && *dirF != "both" {
 		fmt.Fprintf(os.Stderr, "trace: bad -dir %q (want in, out, or both)\n", *dirF)
 		os.Exit(2)
 	}
 
 	tb := core.NewTestbed(5)
-	if *chromeOut != "" {
-		tb.EnableTelemetry()
-	}
-	var critRec *obs.CritRec
-	if *critFlag || *critChrome != "" {
-		critRec = tb.EnableCritPath()
-	}
+	die(sel.Start(tb))
 	a := tb.AddHost(core.HostConfig{Name: "A", Addr: wire.Addr(0x0a000001),
 		Mode: socket.ModeSingleCopy, CABNode: 1})
 	b := tb.AddHost(core.HostConfig{Name: "B", Addr: wire.Addr(0x0a000002),
@@ -127,10 +122,7 @@ func main() {
 					Host string `json:"host"`
 					tcpip.TraceEvent
 				}{host, e})
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "trace:", err)
-					os.Exit(1)
-				}
+				die(err)
 				fmt.Println(string(out))
 			case both:
 				fmt.Printf("%s %v\n", host, e)
@@ -174,35 +166,28 @@ func main() {
 			s.WriteAll(p, buf)
 		}
 		s.Close(p)
+		tb.StopSeries()
 	})
 	tb.Eng.Run()
 	tb.Eng.KillAll()
-	if *chromeOut != "" {
-		out := tb.Tel.Chrome()
-		if *flowF != 0 {
-			out = tb.Tel.ChromeFlow(*flowF)
-		}
-		if err := os.WriteFile(*chromeOut, out, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-			os.Exit(1)
-		}
-	}
 	if lines > *n {
 		// Keep stdout machine-readable under -json: the truncation note
 		// is commentary, not an event.
 		fmt.Fprintf(os.Stderr, "... (%d more events)\n", lines-*n)
 	}
-	if critRec != nil {
-		rep := critpath.Analyze(critRec)
-		if *critFlag {
-			fmt.Println()
-			rep.WriteText(os.Stdout, true)
-		}
-		if *critChrome != "" {
-			if err := os.WriteFile(*critChrome, rep.ChromeJSON(), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "trace:", err)
-				os.Exit(1)
-			}
-		}
+	out := os.Stdout
+	if *jsonF {
+		out = os.Stderr
+	}
+	o := tb.Observed()
+	o.TraceFlow = *flowF
+	o.CritFull = true
+	die(sel.Write(out, o))
+}
+
+func die(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "trace:", err)
+		os.Exit(1)
 	}
 }

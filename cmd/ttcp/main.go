@@ -4,61 +4,39 @@
 //
 // Usage:
 //
-//	ttcp [-mode single|unmodified|raw] [-size 64K] [-total 16M]
+//	ttcp [-mode single|unmodified|raw] [-proto tcp|udp] [-size 64K] [-total 16M]
 //	     [-machine alpha400|alpha300] [-window 512K] [-lazy]
-//	     [-stats] [-trace out.json] [-metrics out.json]
-//	     [-profile] [-profile-out out.folded] [-profile-json out.json]
-//	     [-series out.json] [-series-csv out.csv] [-series-interval-us 100]
 //	     [-fault 'drop:every=13,min=1000;corrupt:p=0.01'] [-fault-seed 1]
-//	     [-audit] [-ledger out.json] [-flightrec out.json]
-//	     [-critpath] [-critpath-chrome out.json]
-//	     [-netobs] [-netobs-json out.json] [-netobs-chrome out.json]
-//
-// -audit enables the data-touch ledger and prints the per-flow audit
-// table (one row per host × touch kind with per-byte min/max); for TCP it
-// then checks the stack's copy-count oracle — single-copy mode must show
-// exactly one checksum-in-flight host-bus DMA and zero CPU touches per
-// sender byte — and exits nonzero on violation. -ledger writes the full
-// interval-record ledger; -flightrec writes the bounded flight-recorder
-// image (recent ledger + trace events per host).
+//	     [-obs telemetry,critpath,profile,series,ledger,netobs,engine,pprof]
+//	     [-obs-dir DIR]
 //
 // -fault injects a deterministic fault plan (grammar in internal/fault's
 // ParsePlan) on the wire, the adaptor, and the kernel; the run then also
 // reports which faults fired. The same plan and -fault-seed replay the
 // exact same faults.
 //
-// -critpath records a happens-before graph of every lifecycle event in the
-// transfer, extracts the critical path of each completed read, and prints
-// the per-cause latency attribution (the last path's full waterfall plus
-// the summary table); -critpath-chrome writes all critical paths as a
-// Chrome trace-event file, one track per cause class.
+// -obs turns observers on; each prints its text summary after the report
+// and, with -obs-dir, writes its files there under fixed names:
 //
-// -netobs enables the transport-dynamics observatory and prints the
-// congestion postmortem: the connection's cwnd/RTT/window series verdict
-// joined with per-port wire busy/stall telemetry and adaptor-memory drops.
-// -netobs-json writes the full recorder dump (every flow sample and port
-// window); -netobs-chrome writes the series as Chrome-trace counter tracks.
+//	telemetry  counter table + latency histogram; metrics.json, trace.json (Chrome trace)
+//	critpath   per-cause critical-path attribution; critpath.json (Chrome trace)
+//	profile    virtual-time CPU profile, folded stacks; profile.folded, profile.json
+//	series     utilization time-series; series.json, series.csv
+//	ledger     data-touch audit table and copy-count oracle; ledger.json, flightrec.json
+//	netobs     congestion postmortem; netobs.json, netobs-chrome.json
+//	engine     simulator meta-profile (events by kind, allocs/event)
+//	pprof      pprof profiles of the simulator process; cpu.pprof, mem.pprof
 //
-// -stats prints the telemetry counter table and the per-packet virtual-time
-// latency histogram with its per-stage breakdown; -trace writes a Chrome
-// trace-event file (load in Perfetto or chrome://tracing); -metrics writes
-// the deterministic JSON metrics snapshot.
-//
-// -profile enables the virtual-time CPU profiler and prints folded stacks
-// (flamegraph.pl / speedscope "collapsed" format) whose values sum exactly
-// to each host's kern.cpu_busy_ns; with -profile the human report moves to
-// stderr so stdout pipes straight into flamegraph.pl.
-// -profile-out/-profile-json write the folded text / JSON snapshot to
-// files instead. -series samples CPU
-// utilization, per-category shares, netmem occupancy, and TCP queue peaks
-// every -series-interval-us of virtual time and writes the JSON series;
-// -series-csv writes the same rows as CSV.
+// The ledger's oracle is checked for TCP: single-copy mode must show
+// exactly one checksum-in-flight host-bus DMA and zero CPU touches per
+// sender byte; a violation exits 1. The folded profile feeds
+// flamegraph.pl DIR/profile.folded. flightrec.json carries recent trace
+// events only when telemetry is selected too.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -66,8 +44,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/fault"
-	"repro/internal/obs"
-	"repro/internal/obs/critpath"
+	"repro/internal/hippi"
 	"repro/internal/obs/ledger"
 	"repro/internal/socket"
 	"repro/internal/ttcp"
@@ -99,27 +76,17 @@ func main() {
 	windowS := flag.String("window", "512K", "TCP window / socket buffer")
 	machine := flag.String("machine", "alpha400", "host model: alpha400, alpha300")
 	lazy := flag.Bool("lazy", false, "enable the lazy-unpin buffer cache")
-	stats := flag.Bool("stats", false, "print telemetry counters and the per-packet latency histogram")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file to this path")
-	metricsOut := flag.String("metrics", "", "write the JSON metrics snapshot to this path")
-	profile := flag.Bool("profile", false, "print folded-stacks CPU profile to stdout")
-	profileOut := flag.String("profile-out", "", "write the folded-stacks CPU profile to this path")
-	profileJSON := flag.String("profile-json", "", "write the CPU profile JSON snapshot to this path")
-	seriesOut := flag.String("series", "", "write the utilization time-series JSON to this path")
-	seriesCSV := flag.String("series-csv", "", "write the utilization time-series CSV to this path")
-	seriesIntervalUS := flag.Int64("series-interval-us", 100, "series sampling interval, µs of virtual time")
 	faultPlan := flag.String("fault", "", "fault plan, e.g. 'drop:every=13,min=1000;corrupt:p=0.01' (see internal/fault)")
 	faultSeed := flag.Int64("fault-seed", 1, "fault injector seed")
-	auditFlag := flag.Bool("audit", false, "enable the data-touch ledger and print the per-flow audit table; fails if the stack's copy-count oracle does not hold")
-	ledgerOut := flag.String("ledger", "", "with -audit, also write the full ledger JSON to this path")
-	flightRec := flag.String("flightrec", "", "write the flight-recorder image (recent ledger + trace events) to this path")
-	critFlag := flag.Bool("critpath", false, "record per-transfer happens-before graphs and print the critical-path latency attribution")
-	critChrome := flag.String("critpath-chrome", "", "with -critpath, also write the critical paths as a Chrome trace-event file to this path")
-	netobsFlag := flag.Bool("netobs", false, "record per-flow TCP dynamics and wire-port telemetry and print the congestion postmortem")
-	netobsJSON := flag.String("netobs-json", "", "write the full transport-dynamics recorder dump to this path")
-	netobsChrome := flag.String("netobs-chrome", "", "write the transport-dynamics series as Chrome-trace counter tracks to this path")
+	obsList := flag.String("obs", "", "observers to turn on, comma-separated: "+strings.Join(core.ObsNames(), ","))
+	obsDir := flag.String("obs-dir", "", "write each selected observer's files to this directory")
 	flag.Parse()
 
+	sel, err := core.ParseObs(*obsList, *obsDir)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ttcp:", err)
+		os.Exit(2)
+	}
 	size, err := parseSize(*sizeS)
 	die(err)
 	total, err := parseSize(*totalS)
@@ -133,25 +100,7 @@ func main() {
 	}
 
 	tb := core.NewTestbed(1)
-	if *stats || *traceOut != "" || *metricsOut != "" || *flightRec != "" {
-		tb.EnableTelemetry()
-	}
-	var critRec *obs.CritRec
-	if *critFlag || *critChrome != "" {
-		critRec = tb.EnableCritPath()
-	}
-	if *auditFlag || *ledgerOut != "" || *flightRec != "" {
-		tb.EnableLedger()
-	}
-	if *profile || *profileOut != "" || *profileJSON != "" {
-		tb.EnableProfiling()
-	}
-	if *seriesOut != "" || *seriesCSV != "" {
-		tb.EnableSeries(units.Time(*seriesIntervalUS) * units.Microsecond)
-	}
-	if *netobsFlag || *netobsJSON != "" || *netobsChrome != "" {
-		tb.EnableNetObs()
-	}
+	die(sel.Start(tb))
 	var inj *fault.Injector
 	if *faultPlan != "" {
 		inj = fault.New(tb.Eng, *faultSeed)
@@ -166,161 +115,86 @@ func main() {
 		// report instead of panicking.
 		Tolerant: inj != nil,
 	}
-	// With -profile, stdout carries only the folded stacks (pipeable into
-	// flamegraph.pl); the human report moves to stderr.
-	report := io.Writer(os.Stdout)
-	if *profile {
-		report = os.Stderr
-	}
-	emitTelemetry := func() {
-		if *flightRec != "" {
-			die(os.WriteFile(*flightRec, tb.FlightDump(), 0o644))
-		}
-		if tb.Led != nil {
-			led := tb.Led
-			flow := led.MainFlow()
-			if *ledgerOut != "" {
-				die(os.WriteFile(*ledgerOut, led.JSON(), 0o644))
-			}
-			if *auditFlag {
-				fmt.Fprint(report, "\n"+led.Summary(flow, total, []string{"snd", "wire", "rcv"}).Format())
-				cfg := ledger.AuditConfig{Flow: flow, Total: total,
-					SndHost: "snd", RcvHost: "rcv", Strict: *faultPlan == ""}
-				var err error
-				switch {
-				case *proto != "tcp" || *mode == "raw":
-					fmt.Fprintln(report, "  oracle: skipped (TCP flows only)")
-				case *mode == "unmodified":
-					err = led.AssertMultiCopy(cfg)
-				default:
-					err = led.AssertSingleCopy(cfg)
-				}
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "ttcp: audit:", err)
-					os.Exit(1)
-				} else if *proto == "tcp" && *mode != "raw" {
-					fmt.Fprintln(report, "  oracle: ok")
-				}
-			}
-		}
-		if inj != nil {
-			fmt.Fprintf(report, "  %s\n", inj.Report())
-		}
-		if critRec != nil {
-			rep := critpath.Analyze(critRec)
-			if *critFlag {
-				fmt.Fprint(report, "\n")
-				rep.WriteText(report, false)
-			}
-			if *critChrome != "" {
-				die(os.WriteFile(*critChrome, rep.ChromeJSON(), 0o644))
-			}
-		}
-		if tb.Prof != nil {
-			if *profile {
-				fmt.Print(tb.Prof.Folded())
-			}
-			if *profileOut != "" {
-				die(os.WriteFile(*profileOut, []byte(tb.Prof.Folded()), 0o644))
-			}
-			if *profileJSON != "" {
-				die(os.WriteFile(*profileJSON, tb.Prof.Snapshot().JSON(), 0o644))
-			}
-		}
-		if tb.NetObs != nil {
-			if *netobsFlag {
-				fmt.Fprint(report, "\n"+tb.NetObsPostmortem(0).Format())
-			}
-			if *netobsJSON != "" {
-				die(os.WriteFile(*netobsJSON, tb.NetObs.Snapshot().JSON(), 0o644))
-			}
-			if *netobsChrome != "" {
-				die(os.WriteFile(*netobsChrome, tb.NetObs.Chrome(), 0o644))
-			}
-		}
-		if tb.Series != nil {
-			snap := tb.Series.Snapshot()
-			if *seriesOut != "" {
-				die(os.WriteFile(*seriesOut, snap.JSON(), 0o644))
-			}
-			if *seriesCSV != "" {
-				die(os.WriteFile(*seriesCSV, []byte(snap.CSV()), 0o644))
-			}
-		}
-		if tb.Tel == nil {
-			return
-		}
-		if *stats {
-			fmt.Fprint(report, "\n"+tb.Tel.Snapshot().Format())
-		}
-		if *metricsOut != "" {
-			die(os.WriteFile(*metricsOut, tb.Tel.Snapshot().JSON(), 0o644))
-		}
-		if *traceOut != "" {
-			die(os.WriteFile(*traceOut, tb.Tel.Chrome(), 0o644))
-		}
-	}
 
-	var res ttcp.Result
-	if *proto == "udp" && *mode != "raw" {
-		m := socket.ModeSingleCopy
-		if *mode == "unmodified" {
-			m = socket.ModeUnmodified
+	m := socket.ModeSingleCopy
+	if *mode == "unmodified" {
+		m = socket.ModeUnmodified
+	}
+	raw := *mode == "raw"
+	host := func(name string, addr wire.Addr, node hippi.NodeID) *core.Host {
+		if raw {
+			return tb.AddHost(core.HostConfig{Name: name, Addr: addr, Mach: mach(), CABNode: node, NoDriver: true})
 		}
-		a := tb.AddHost(core.HostConfig{Name: "snd", Addr: wire.Addr(0x0a000001),
-			Mach: mach(), Mode: m, CABNode: 1, LazyUnpin: *lazy})
-		b := tb.AddHost(core.HostConfig{Name: "rcv", Addr: wire.Addr(0x0a000002),
-			Mach: mach(), Mode: m, CABNode: 2, LazyUnpin: *lazy})
+		return tb.AddHost(core.HostConfig{Name: name, Addr: addr, Mach: mach(), Mode: m, CABNode: node, LazyUnpin: *lazy})
+	}
+	a, b := host("snd", 0x0a000001, 1), host("rcv", 0x0a000002, 2)
+	switch {
+	case raw:
+		printResult(*mode, mach().Name, size, window, ttcp.RunRaw(tb, a, b, params))
+	case *proto == "udp":
 		tb.RouteCAB(a, b)
 		ur := ttcp.RunUDP(tb, a, b, params)
-		fmt.Fprintf(report, "ttcp -u (%s stack, %s, %v datagrams)\n", *mode, mach().Name, size)
-		fmt.Fprintf(report, "  sent %v, received %v (loss %.2f%%) in %v\n",
+		fmt.Printf("ttcp -u (%s stack, %s, %v datagrams)\n", *mode, mach().Name, size)
+		fmt.Printf("  sent %v, received %v (loss %.2f%%) in %v\n",
 			ur.Sent, ur.Received, 100*ur.LossFraction, ur.Elapsed)
-		fmt.Fprintf(report, "  throughput   %.1f Mb/s\n", ur.Throughput.Mbit())
-		fmt.Fprintf(report, "  sender       util %.2f  efficiency %.1f Mb/s\n",
+		fmt.Printf("  throughput   %.1f Mb/s\n", ur.Throughput.Mbit())
+		fmt.Printf("  sender       util %.2f  efficiency %.1f Mb/s\n",
 			ur.Snd.Utilization, ur.Snd.Efficiency.Mbit())
-		fmt.Fprintf(report, "  receiver     util %.2f  efficiency %.1f Mb/s\n",
+		fmt.Printf("  receiver     util %.2f  efficiency %.1f Mb/s\n",
 			ur.Rcv.Utilization, ur.Rcv.Efficiency.Mbit())
-		emitTelemetry()
-		return
-	}
-	if *mode == "raw" {
-		a := tb.AddHost(core.HostConfig{Name: "snd", Addr: wire.Addr(0x0a000001),
-			Mach: mach(), CABNode: 1, NoDriver: true})
-		b := tb.AddHost(core.HostConfig{Name: "rcv", Addr: wire.Addr(0x0a000002),
-			Mach: mach(), CABNode: 2, NoDriver: true})
-		res = ttcp.RunRaw(tb, a, b, params)
-	} else {
-		m := socket.ModeSingleCopy
-		if *mode == "unmodified" {
-			m = socket.ModeUnmodified
-		}
-		a := tb.AddHost(core.HostConfig{Name: "snd", Addr: wire.Addr(0x0a000001),
-			Mach: mach(), Mode: m, CABNode: 1, LazyUnpin: *lazy})
-		b := tb.AddHost(core.HostConfig{Name: "rcv", Addr: wire.Addr(0x0a000002),
-			Mach: mach(), Mode: m, CABNode: 2, LazyUnpin: *lazy})
+	default:
 		tb.RouteCAB(a, b)
-		res = ttcp.Run(tb, a, b, params)
+		printResult(*mode, mach().Name, size, window, ttcp.Run(tb, a, b, params))
 	}
+	if inj != nil {
+		fmt.Printf("  %s\n", inj.Report())
+	}
+	die(sel.Write(os.Stdout, tb.Observed()))
+	if tb.Led != nil {
+		audit(tb.Led, total, *proto == "tcp" && !raw, m, *faultPlan == "")
+	}
+}
 
-	fmt.Fprintf(report, "ttcp (%s stack, %s, %v writes, %v window)\n",
-		*mode, mach().Name, size, window)
-	fmt.Fprintf(report, "  transferred  %v in %v\n", res.Bytes, res.Elapsed)
+func printResult(mode, machName string, size, window units.Size, res ttcp.Result) {
+	fmt.Printf("ttcp (%s stack, %s, %v writes, %v window)\n", mode, machName, size, window)
+	fmt.Printf("  transferred  %v in %v\n", res.Bytes, res.Elapsed)
 	if res.SndErr != "" || res.RcvErr != "" {
-		fmt.Fprintf(report, "  flow ended under fault: snd=%q rcv=%q\n", res.SndErr, res.RcvErr)
+		fmt.Printf("  flow ended under fault: snd=%q rcv=%q\n", res.SndErr, res.RcvErr)
 	}
-	fmt.Fprintf(report, "  throughput   %.1f Mb/s\n", res.Throughput.Mbit())
-	fmt.Fprintf(report, "  sender       util %.2f (true %.2f)  efficiency %.1f Mb/s\n",
+	fmt.Printf("  throughput   %.1f Mb/s\n", res.Throughput.Mbit())
+	fmt.Printf("  sender       util %.2f (true %.2f)  efficiency %.1f Mb/s\n",
 		res.Snd.Utilization, res.Snd.TrueUtilization, res.Snd.Efficiency.Mbit())
-	fmt.Fprintf(report, "  receiver     util %.2f (true %.2f)  efficiency %.1f Mb/s\n",
+	fmt.Printf("  receiver     util %.2f (true %.2f)  efficiency %.1f Mb/s\n",
 		res.Rcv.Utilization, res.Rcv.TrueUtilization, res.Rcv.Efficiency.Mbit())
-	fmt.Fprintf(report, "  sender CPU breakdown:\n")
+	fmt.Printf("  sender CPU breakdown:\n")
 	for _, cat := range []string{"copy", "csum", "vm", "proto", "driver", "intr", "syscall", "app"} {
 		if d, ok := res.Snd.Breakdown[cat]; ok {
-			fmt.Fprintf(report, "    %-8s %v\n", cat, d)
+			fmt.Printf("    %-8s %v\n", cat, d)
 		}
 	}
-	emitTelemetry()
+}
+
+// audit prints the data-touch table of the transfer's flow and, for TCP,
+// checks the stack's copy-count oracle; a violation exits 1. strict is
+// off under fault injection, where retransmitted bytes may legitimately
+// cross the sender's bus again.
+func audit(led *ledger.Ledger, total units.Size, tcp bool, m socket.Mode, strict bool) {
+	flow := led.MainFlow()
+	fmt.Print("\n" + led.Summary(flow, total, []string{"snd", "wire", "rcv"}).Format())
+	if !tcp {
+		fmt.Println("  oracle: skipped (TCP flows only)")
+		return
+	}
+	check := led.AssertSingleCopy
+	if m == socket.ModeUnmodified {
+		check = led.AssertMultiCopy
+	}
+	if err := check(ledger.AuditConfig{Flow: flow, Total: total,
+		SndHost: "snd", RcvHost: "rcv", Strict: strict}); err != nil {
+		fmt.Fprintln(os.Stderr, "ttcp: audit:", err)
+		os.Exit(1)
+	}
+	fmt.Println("  oracle: ok")
 }
 
 func die(err error) {

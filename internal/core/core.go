@@ -173,26 +173,26 @@ func (tb *Testbed) EnableProfiling() *prof.Profiler {
 	return tb.Prof
 }
 
+// SeriesInterval is the utilization sampler's period, in virtual time.
+const SeriesInterval = 100 * units.Microsecond
+
 // EnableSeries turns on the utilization time-series sampler: every
-// interval of virtual time each host records CPU utilization (total and
-// per category, in per-mille), network-memory page occupancy, and TCP
+// SeriesInterval of virtual time each host records CPU utilization (total
+// and per category, in per-mille), network-memory page occupancy, and TCP
 // queue/window high-water marks. Implies EnableTelemetry; must run before
 // AddHost. The sampler keeps an engine event pending, so call StopSeries
 // when the workload ends or Eng.Run will not return.
-func (tb *Testbed) EnableSeries(interval units.Time) *obs.SeriesSet {
+func (tb *Testbed) EnableSeries() *obs.SeriesSet {
 	if len(tb.Hosts) > 0 {
 		panic("core: EnableSeries must be called before AddHost")
 	}
-	if interval <= 0 {
-		interval = 100 * units.Microsecond
-	}
 	tb.EnableTelemetry()
 	if tb.Series == nil {
-		tb.Series = obs.NewSeriesSet(interval, obs.DefaultSeriesCapacity)
+		tb.Series = obs.NewSeriesSet(SeriesInterval, obs.DefaultSeriesCapacity)
 		tb.Series.SetLatencySource(tb.Tel.Trace().Latency())
 		tb.Eng.Go("series-sampler", func(p *sim.Proc) {
 			for !tb.seriesStop {
-				p.Sleep(interval)
+				p.Sleep(SeriesInterval)
 				tb.Series.Sample(p.Now())
 			}
 		})

@@ -168,42 +168,6 @@ func (b CritBench) JSON() []byte {
 	return append(out, '\n')
 }
 
-// critCellDet is a cell stripped to its exact-diffable fields.
-type critCellDet struct {
-	Name         string             `json:"name"`
-	Mode         string             `json:"mode"`
-	RWSizeBytes  int64              `json:"rwsize_bytes,omitempty"`
-	Flows        int                `json:"flows,omitempty"`
-	Transfers    int                `json:"transfers"`
-	Events       int                `json:"events"`
-	TotalNs      int64              `json:"total_ns"`
-	LastPathNs   int64              `json:"last_path_ns"`
-	LastSteps    int                `json:"last_steps"`
-	SenderCopyNs int64              `json:"sender_cpu_copy_ns"`
-	SenderCsumNs int64              `json:"sender_cpu_csum_ns"`
-	ByCause      []critpath.CauseNs `json:"by_cause"`
-}
-
-// DeterministicJSON renders only the deterministic fields — the bytes the
-// twice-run determinism test compares.
-func (b CritBench) DeterministicJSON() []byte {
-	var cs []critCellDet
-	for _, c := range b.Cells {
-		cs = append(cs, critCellDet{
-			Name: c.Name, Mode: c.Mode, RWSizeBytes: c.RWSizeBytes, Flows: c.Flows,
-			Transfers: c.Transfers, Events: c.Events, TotalNs: c.TotalNs,
-			LastPathNs: c.LastPathNs, LastSteps: c.LastSteps,
-			SenderCopyNs: c.SenderCopyNs, SenderCsumNs: c.SenderCsumNs,
-			ByCause: c.ByCause,
-		})
-	}
-	out, err := json.MarshalIndent(cs, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(out, '\n')
-}
-
 // Format renders a human summary: one line per cell plus its top causes.
 func (b CritBench) Format() string {
 	var sb strings.Builder

@@ -164,11 +164,10 @@ func ProfileRun(mode socket.Mode, rw units.Size, seed int64) *core.Testbed {
 }
 
 // SeriesRun runs one instrumented cell with the utilization time-series
-// sampler ticking every interval of virtual time, and returns the testbed
-// whose Series holds the recorded rows.
-func SeriesRun(rw units.Size, interval units.Time, seed int64) *core.Testbed {
+// sampler on, and returns the testbed whose Series holds the recorded rows.
+func SeriesRun(rw units.Size, seed int64) *core.Testbed {
 	tb := core.NewTestbed(seed)
-	tb.EnableSeries(interval)
+	tb.EnableSeries()
 	a := tb.AddHost(core.HostConfig{Name: "A", Addr: addrA, Mach: cost.Alpha400(),
 		Mode: socket.ModeSingleCopy, CABNode: 1})
 	b := tb.AddHost(core.HostConfig{Name: "B", Addr: addrB, Mach: cost.Alpha400(),

@@ -126,7 +126,7 @@ func TestProfilerVirtualTimeNeutral(t *testing.T) {
 // per-mille columns stay in range, the soaker keeps the CPU saturated,
 // netmem occupancy is visible, and latency quantiles are ordered.
 func TestSeriesRecordsUtilization(t *testing.T) {
-	tb := SeriesRun(64*units.KB, 100*units.Microsecond, 9)
+	tb := SeriesRun(64*units.KB, 9)
 	snap := tb.Series.Snapshot()
 	if snap.IntervalNs != int64(100*units.Microsecond) {
 		t.Fatalf("interval = %d", snap.IntervalNs)
@@ -180,8 +180,8 @@ func TestSeriesRecordsUtilization(t *testing.T) {
 
 // TestSeriesDeterministic: same seed, byte-identical series exports.
 func TestSeriesDeterministic(t *testing.T) {
-	s1 := SeriesRun(64*units.KB, 100*units.Microsecond, 9).Series.Snapshot()
-	s2 := SeriesRun(64*units.KB, 100*units.Microsecond, 9).Series.Snapshot()
+	s1 := SeriesRun(64*units.KB, 9).Series.Snapshot()
+	s2 := SeriesRun(64*units.KB, 9).Series.Snapshot()
 	if !bytes.Equal(s1.JSON(), s2.JSON()) {
 		t.Fatal("same-seed runs produced different series JSON")
 	}
@@ -197,7 +197,7 @@ func TestSeriesVirtualTimeNeutral(t *testing.T) {
 	run := func(series bool) ttcp.Result {
 		tb := core.NewTestbed(3)
 		if series {
-			tb.EnableSeries(100 * units.Microsecond)
+			tb.EnableSeries()
 		}
 		a := tb.AddHost(core.HostConfig{Name: "A", Addr: addrA, Mach: cost.Alpha400(),
 			Mode: socket.ModeSingleCopy, CABNode: 1})

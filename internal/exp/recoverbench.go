@@ -121,44 +121,6 @@ func (b RecoverBench) JSON() []byte {
 	return append(out, '\n')
 }
 
-// recoverCellDet is a cell stripped to its exact-diffable fields.
-type recoverCellDet struct {
-	Name           string        `json:"name"`
-	Plan           string        `json:"plan"`
-	Mode           string        `json:"mode"`
-	Flows          int           `json:"flows"`
-	FaultAtNs      int64         `json:"fault_at_ns"`
-	HealAtNs       int64         `json:"heal_at_ns"`
-	FirstGoodputNs int64         `json:"first_goodput_ns"`
-	RecoveryNs     int64         `json:"recovery_ns"`
-	EndNs          int64         `json:"end_ns"`
-	DeliveredBytes int64         `json:"delivered_bytes"`
-	Resets         int           `json:"resets"`
-	PartitionDrops int64         `json:"partition_drops"`
-	FlowFates      []RecoverFate `json:"flow_fates"`
-}
-
-// DeterministicJSON renders only the deterministic fields — the bytes the
-// twice-run determinism test compares.
-func (b RecoverBench) DeterministicJSON() []byte {
-	var cs []recoverCellDet
-	for _, c := range b.Cells {
-		cs = append(cs, recoverCellDet{
-			Name: c.Name, Plan: c.Plan, Mode: c.Mode, Flows: c.Flows,
-			FaultAtNs: c.FaultAtNs, HealAtNs: c.HealAtNs,
-			FirstGoodputNs: c.FirstGoodputNs, RecoveryNs: c.RecoveryNs,
-			EndNs: c.EndNs, DeliveredBytes: c.DeliveredBytes,
-			Resets: c.Resets, PartitionDrops: c.PartitionDrops,
-			FlowFates: c.FlowFates,
-		})
-	}
-	out, err := json.MarshalIndent(cs, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(out, '\n')
-}
-
 // Format renders a human summary: one line per case.
 func (b RecoverBench) Format() string {
 	var sb strings.Builder

@@ -173,28 +173,6 @@ func (b SimBench) JSON() []byte {
 	return append(out, '\n')
 }
 
-// simWorkloadDet is a workload stripped to its exact-diffable fields.
-type simWorkloadDet struct {
-	Name      string               `json:"name"`
-	Cases     int                  `json:"cases"`
-	VirtualNs int64                `json:"virtual_ns"`
-	Det       engine.Deterministic `json:"deterministic"`
-}
-
-// DeterministicJSON renders only the deterministic sections — the bytes
-// the engine-counter determinism oracle compares across same-seed runs.
-func (b SimBench) DeterministicJSON() []byte {
-	var ws []simWorkloadDet
-	for _, w := range b.Workloads {
-		ws = append(ws, simWorkloadDet{Name: w.Name, Cases: w.Cases, VirtualNs: w.VirtualNs, Det: w.Det})
-	}
-	out, err := json.MarshalIndent(ws, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(out, '\n')
-}
-
 // Format renders a human summary.
 func (b SimBench) Format() string {
 	var sb strings.Builder

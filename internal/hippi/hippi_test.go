@@ -201,3 +201,28 @@ func TestHOLSmallSwitchHigherUtilization(t *testing.T) {
 		t.Fatalf("2-port FIFO utilization = %.3f, want ≈0.75", res.Utilization)
 	}
 }
+
+// TestSingleSwitchECNMarks: two senders bursting into one receiver on a
+// single switch queue at the receive port, and the queue-threshold marker
+// must see the frames that waited behind the threshold — the same last
+// hop a multi-switch fabric delivers through.
+func TestSingleSwitchECNMarks(t *testing.T) {
+	e := sim.NewEngine(1)
+	n := NewNetwork(e, LineRate, 0)
+	n.Attach(1, func(Frame) {})
+	n.Attach(2, func(Frame) {})
+	n.Attach(3, func(Frame) {})
+	calls := 0
+	n.SetECN(16*units.KB, func([]byte) bool { calls++; return true })
+	for j := 0; j < 4; j++ {
+		n.Send(1, 3, make([]byte, 32*1024), nil)
+		n.Send(2, 3, make([]byte, 32*1024), nil)
+	}
+	e.Run()
+	if n.Delivered != 8 {
+		t.Fatalf("delivered %d of 8 frames", n.Delivered)
+	}
+	if calls == 0 || n.ECNMarked != calls {
+		t.Fatalf("marker called %d times, ECNMarked=%d; want both > 0 and equal", calls, n.ECNMarked)
+	}
+}

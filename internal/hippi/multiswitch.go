@@ -1,11 +1,12 @@
 // Multi-switch fabrics. The classic Network is one switch: every attached
 // node is a port on it and SendFrame serializes source → switch delay →
-// destination. This file removes that single-switch assumption without
-// touching the single-switch path: nodes are placed on switches, switches
-// are joined by named trunks, and a route function picks the next trunk
-// for each (frame, switch) pair. Topology assembly, ECMP hashing, and ECN
+// destination. This file removes that single-switch assumption: nodes are
+// placed on switches, switches are joined by named trunks, and a route
+// function picks the next trunk for each (frame, switch) pair. A frame
+// whose source and destination share a switch skips the trunks and takes
+// only the last hop (deliverAt). Topology assembly, ECMP hashing, and ECN
 // marking policy live in internal/fabric; this file is only the per-hop
-// mechanics (serialization, HOL coupling, telemetry, ledger charges).
+// mechanics (serialization, telemetry, ledger charges).
 package hippi
 
 import (
@@ -96,19 +97,6 @@ func (n *Network) SetRoute(r RouteFunc) { n.route = r }
 // SetLinkInjector installs the trunk partition hook.
 func (n *Network) SetLinkInjector(li LinkInjector) { n.linkInj = li }
 
-// SetFIFO selects the queueing discipline at each switch's trunk outputs.
-// false (the default) is VOQ-like: each trunk direction serializes
-// independently, so a hot uplink never blocks a cold one. true is a single
-// shared FIFO per switch: all trunk transmissions out of one switch are
-// coupled through one busy horizon, reproducing head-of-line blocking at
-// fabric scale (the hol.go analysis, one level up).
-func (n *Network) SetFIFO(fifo bool) {
-	n.fifoHOL = fifo
-	if fifo && n.fifoUntil == nil {
-		n.fifoUntil = make(map[SwitchID]units.Time)
-	}
-}
-
 // SetECN installs queue-threshold CE marking on fabric hops: when a frame
 // queues behind threshold bytes or more of backlog (measured as stall time
 // at the hop's serializer), mark is asked to CE-mark the frame in place.
@@ -143,23 +131,10 @@ func (n *Network) TrunkStats() []TrunkStat {
 	return out
 }
 
-// forward carries a frame that must cross switches. Runs in event context
-// at the moment the frame has fully left the source port (where the
-// single-switch path would deliver); v is the injector's verdict, already
-// checked for Drop. Each dup copy is forwarded independently — copies
-// share f.Data, as they do on the single-switch path.
-func (n *Network) forward(f Frame, txTime units.Time, v Verdict, sw, dstSw SwitchID) {
-	for i := 0; i <= v.Dup; i++ {
-		if i > 0 {
-			n.Duped++
-		}
-		n.hop(f, txTime, sw, dstSw, v.Delay)
-	}
-}
-
 // hop moves the frame one trunk closer to dstSw: route lookup, partition
-// check, switch delay, serialization onto the trunk (with optional FIFO
-// coupling and ECN marking), then either the next hop or final delivery.
+// check, switch delay, serialization onto the trunk (with optional ECN
+// marking), then either the next hop or final delivery. Runs in event
+// context; dup copies of a frame hop independently and share f.Data.
 func (n *Network) hop(f Frame, txTime units.Time, sw, dstSw SwitchID, extra units.Time) {
 	var t *trunk
 	if n.route != nil {
@@ -184,11 +159,6 @@ func (n *Network) hop(f Frame, txTime units.Time, sw, dstSw SwitchID, extra unit
 		dir, next = 1, t.a
 	}
 	start := now + n.delay
-	if n.fifoHOL {
-		if bu := n.fifoUntil[sw]; bu > start {
-			start = bu
-		}
-	}
 	var stall units.Time
 	if t.busyUntil[dir] > start {
 		stall = t.busyUntil[dir] - start
@@ -206,9 +176,6 @@ func (n *Network) hop(f Frame, txTime units.Time, sw, dstSw SwitchID, extra unit
 	}
 	end := start + txTime
 	t.busyUntil[dir] = end
-	if n.fifoHOL {
-		n.fifoUntil[sw] = end
-	}
 	t.bytes[dir] += units.Size(len(f.Data))
 	t.frames[dir]++
 	if n.markECN != nil && stall >= n.markDelay && n.markECN(f.Data) {
@@ -226,10 +193,10 @@ func (n *Network) hop(f Frame, txTime units.Time, sw, dstSw SwitchID, extra unit
 	})
 }
 
-// deliverAt is the last hop: the frame has reached the destination's
-// switch and now crosses to the host port, exactly as the single-switch
-// tail does (switch delay, receive-side serialization unless the injector
-// delayed the frame off the fast path, final wire-transit charge).
+// deliverAt is the last hop, and the only one on a single switch: the
+// frame has reached the destination's switch and crosses to the host port
+// (switch delay, receive-side serialization unless the injector delayed
+// the frame off the fast path, ECN marking, final wire-transit charge).
 func (n *Network) deliverAt(f Frame, txTime, extra units.Time) {
 	dp, ok := n.ports[f.Dst]
 	if !ok {

@@ -100,8 +100,6 @@ type Network struct {
 	trunkList []*trunk
 	route     RouteFunc
 	linkInj   LinkInjector
-	fifoHOL   bool
-	fifoUntil map[SwitchID]units.Time
 	markECN   func([]byte) bool
 	markDelay units.Time
 	capDelay  units.Time
@@ -196,37 +194,16 @@ func (n *Network) SendFrame(f Frame, sent func()) {
 			n.nobs.Drop(true)
 			return
 		}
-		if asw, bsw := n.switchOf(f.Src), n.switchOf(f.Dst); asw != bsw {
-			n.forward(f, txTime, v, asw, bsw)
-			return
-		}
-		dp, ok := n.ports[f.Dst]
-		if !ok {
-			n.Dropped++
-			n.DroppedUnattached++
-			n.nobs.Drop(false)
-			return
-		}
+		sw, dstSw := n.switchOf(f.Src), n.switchOf(f.Dst)
 		for i := 0; i <= v.Dup; i++ {
 			if i > 0 {
 				n.Duped++
 			}
-			arriveStart := n.eng.Now() + n.delay + v.Delay
-			var rxStall units.Time
-			if v.Delay == 0 {
-				if dp.rxBusyUntil > arriveStart {
-					rxStall = dp.rxBusyUntil - arriveStart
-					arriveStart = dp.rxBusyUntil
-					n.rxStalls.Inc()
-				}
-				dp.rxBusyUntil = arriveStart + txTime
+			if sw == dstSw {
+				n.deliverAt(f, txTime, v.Delay)
+			} else {
+				n.hop(f, txTime, sw, dstSw, v.Delay)
 			}
-			n.nobs.Rx(int(f.Dst), len(f.Data), rxStall, arriveStart, arriveStart+txTime)
-			n.eng.AtKind(arriveStart+txTime, sim.KindWire, func() {
-				n.Delivered++
-				n.Led.TouchP(f.Prov, 0, units.Size(len(f.Data)), ledger.WireTransit, "wire", 0)
-				dp.recv(f)
-			})
 		}
 	})
 }

@@ -64,10 +64,6 @@ type Scenario struct {
 	// classic single switch). Servers rack behind edge switch 0; clients
 	// spread round-robin over the remaining edge switches.
 	Topology string
-	// FabricFIFO couples each fabric switch's trunk outputs through one
-	// shared FIFO (head-of-line blocking at fabric scale) instead of the
-	// default independent per-trunk VOQ serialization.
-	FabricFIFO bool
 	// CC selects every host's TCP congestion control: "" or "reno" for
 	// the classic 4.3BSD-Reno behavior, "dctcp" for the ECN variant.
 	CC string
@@ -121,9 +117,6 @@ type Scenario struct {
 	// Arbiter, when set, installs the per-flow netmem arbiter on every
 	// host.
 	Arbiter *cab.ArbConfig
-	// Weights holds optional per-flow arbiter weights (index = flow id;
-	// missing or zero entries default to the arbiter's DefaultWeight).
-	Weights []int
 	// Ledger enables the data-touch ledger (used by audit-mode runs).
 	Ledger bool
 	// EngObs, when set, attaches the simulator meta-observer to the run's
@@ -136,10 +129,10 @@ type Scenario struct {
 	// (analyzed after Warmup) comes back as Report.NetObs and the raw
 	// recorder as Report.NetObsRec.
 	NetObs bool
-	// Series, when positive, samples the utilization time-series at this
-	// interval; the sampler stops when the last client proc finishes and
-	// the set comes back as Report.Series.
-	Series units.Time
+	// Series samples the utilization time-series every
+	// core.SeriesInterval; the sampler stops when the last client proc
+	// finishes and the set comes back as Report.Series.
+	Series bool
 	// FaultPlan is an optional fault-injection plan (fault.ParsePlan
 	// grammar, e.g. "partition:at=5ms,dur=20ms" or "cabreset:at=8ms")
 	// applied to the run's shared network and every adaptor. The plan is
@@ -316,8 +309,8 @@ func (r *runner) build() {
 	if s.NetObs {
 		r.tb.EnableNetObs()
 	}
-	if s.Series > 0 {
-		r.tb.EnableSeries(s.Series)
+	if s.Series {
+		r.tb.EnableSeries()
 	}
 	if s.FaultPlan != "" {
 		inj := fault.New(r.tb.Eng, s.Seed)
@@ -353,8 +346,8 @@ func (r *runner) build() {
 		}
 	}
 
-	// Fabric assembly: trunks, ECMP routing, rack placement, queueing
-	// discipline, and (when enabled) the CE marker.
+	// Fabric assembly: trunks, ECMP routing, rack placement, and (when
+	// enabled) the CE marker and the trunk queue cap.
 	if s.Topology != "" {
 		tp := fabric.MustParse(s.Topology) // validated by normalized
 		tp.Install(r.tb.Net, uint64(s.Seed))
@@ -366,9 +359,6 @@ func (r *runner) build() {
 			cliNodes = append(cliNodes, c.h.Cfg.CABNode)
 		}
 		r.tb.Net.SetPlacement(tp.PlaceRacked(srvNodes, cliNodes))
-		if s.FabricFIFO {
-			r.tb.Net.SetFIFO(true)
-		}
 		if s.ECNThreshold > 0 {
 			r.tb.Net.SetECN(s.ECNThreshold, fabric.MarkCE)
 		}
@@ -388,9 +378,6 @@ func (r *runner) build() {
 			server: r.servers[i%s.Servers],
 			rng:    rand.New(rand.NewSource(s.Seed*1000003 + int64(i))),
 			lat:    &obs.Histogram{},
-		}
-		if i < len(s.Weights) {
-			f.weight = s.Weights[i]
 		}
 		r.flows = append(r.flows, f)
 	}
@@ -429,7 +416,7 @@ func (r *runner) build() {
 // clientDone retires one client proc; the last one out stops the series
 // sampler (which otherwise keeps an engine event pending forever).
 func (r *runner) clientDone() {
-	if r.s.Series <= 0 {
+	if !r.s.Series {
 		return
 	}
 	r.activeClients--
@@ -461,23 +448,6 @@ func (r *runner) startDelay(f *flow) units.Time {
 		return 0
 	}
 	return units.Time(f.rng.Int63n(int64(r.s.Stagger)))
-}
-
-// applyWeight registers the flow's arbiter weight on both ends once its
-// sender port is known. The sender's own CAB accounts transmit staging by
-// local port; the receiving CAB accounts the same flow under the
-// (sender node, port) key.
-func (r *runner) applyWeight(f *flow, port uint16) {
-	f.port = port
-	if f.weight <= 0 {
-		return
-	}
-	if a := f.client.h.CAB.Arb; a != nil {
-		a.SetWeight(int(port), f.weight)
-	}
-	if a := f.server.h.CAB.Arb; a != nil {
-		a.SetWeight(cab.FlowKey(f.client.h.Cfg.CABNode, int(port)), f.weight)
-	}
 }
 
 // auditSingleCopy checks every TCP bulk stream against the ledger's

@@ -205,7 +205,7 @@ func TestNetObsSameSeedByteIdentical(t *testing.T) {
 			Duration:  10 * units.Millisecond,
 			BulkWrite: 16 * units.KB,
 			NetObs:    true,
-			Series:    100 * units.Microsecond,
+			Series:    true,
 		}
 		rep, err := Run(s)
 		if err != nil {

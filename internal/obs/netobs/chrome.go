@@ -39,8 +39,8 @@ func (r *Recorder) Chrome() []byte {
 	return r.Snapshot().Chrome()
 }
 
-// Chrome renders a saved wire-series dump (the loadgen -netobs-json
-// format) as the same counter tracks the live recorder produces, so
+// Chrome renders a saved wire-series dump (the netobs.json that -obs netobs
+// writes) as the same counter tracks the live recorder produces, so
 // cmd/trace can re-render a capture without re-running the simulation.
 // Multi-switch fabrics carry named trunk ports whose synthetic ids are
 // namespaced above host nodes; those tracks are labeled by trunk name so

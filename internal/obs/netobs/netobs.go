@@ -116,7 +116,7 @@ func (s FlowSample) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON is the inverse flattening, so saved dumps round-trip
-// (cmd/trace re-renders loadgen -netobs-json captures).
+// (cmd/trace re-renders saved netobs.json captures).
 func (s *FlowSample) UnmarshalJSON(b []byte) error {
 	var flat struct {
 		TNs      int64 `json:"t_ns"`

@@ -179,46 +179,6 @@ func TestSignalSignalWakesOne(t *testing.T) {
 	e.KillAll()
 }
 
-func TestSignalWaitTimeout(t *testing.T) {
-	e := NewEngine(1)
-	s := NewSignal(e)
-	var timedOut, signaled bool
-	e.Go("t", func(p *Proc) {
-		timedOut = !s.WaitTimeout(p, 10)
-	})
-	e.Go("s", func(p *Proc) {
-		signaled = s.WaitTimeout(p, 100)
-	})
-	e.At(50, func() { s.Broadcast() })
-	e.Run()
-	if !timedOut {
-		t.Fatal("first waiter should have timed out")
-	}
-	if !signaled {
-		t.Fatal("second waiter should have been signaled")
-	}
-}
-
-func TestSignalWaitTimeoutNoDoubleWake(t *testing.T) {
-	e := NewEngine(1)
-	s := NewSignal(e)
-	wakes := 0
-	e.Go("w", func(p *Proc) {
-		s.WaitTimeout(p, 10)
-		wakes++
-		p.Sleep(1000) // park again; a stray second wake would resume early
-		wakes++
-	})
-	e.At(10, func() { s.Broadcast() }) // broadcast at exactly the timeout
-	e.Run()
-	if wakes != 2 {
-		t.Fatalf("wakes = %d, want 2", wakes)
-	}
-	if e.Now() != 1010 {
-		t.Fatalf("final time %v, want 1010 (no early wake)", e.Now())
-	}
-}
-
 func TestResourceMutualExclusion(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, 1)

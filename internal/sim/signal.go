@@ -1,7 +1,5 @@
 package sim
 
-import "repro/internal/units"
-
 // Signal is a broadcast/signal condition variable for processes.
 // The zero value is not usable; create one with NewSignal.
 type Signal struct {
@@ -10,7 +8,7 @@ type Signal struct {
 }
 
 // waiter is one queued wait. It goes stale once its proc's wseq moves on:
-// the wait was satisfied or timed out, or the proc has been woken since.
+// the wait was satisfied, or the proc has been woken since.
 type waiter struct {
 	p   *Proc
 	seq uint64
@@ -26,24 +24,6 @@ func (s *Signal) Wait(p *Proc) {
 	p.wseq++
 	s.waiters = append(s.waiters, waiter{p, p.wseq})
 	p.park()
-}
-
-// WaitTimeout blocks p until the signal fires or d elapses. It reports
-// whether the signal fired (false means timeout).
-func (s *Signal) WaitTimeout(p *Proc, d units.Time) bool {
-	p.wseq++
-	w := waiter{p, p.wseq}
-	s.waiters = append(s.waiters, w)
-	timedOut := false
-	s.eng.AfterKind(d, KindTimer, func() {
-		if w.live() {
-			timedOut = true
-			p.wseq++
-			p.deliver()
-		}
-	})
-	p.park()
-	return !timedOut
 }
 
 // Signal wakes the longest-waiting process, if any.

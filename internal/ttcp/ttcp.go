@@ -28,6 +28,13 @@ import (
 	"repro/internal/units"
 )
 
+// Server ports: the TCP receiver listens on tcpPort, the UDP receiver
+// binds udpPort.
+const (
+	tcpPort = 5010
+	udpPort = 5011
+)
+
 // Params configures one transfer.
 type Params struct {
 	// Total is the byte count to move.
@@ -38,8 +45,6 @@ type Params struct {
 	// Window overrides the TCP window / socket buffer size (default the
 	// experiment's 512 KB).
 	Window units.Size
-	// Port is the server port (default 5010).
-	Port uint16
 	// WithUtil runs the util methodology (else only ground-truth
 	// accounting is reported).
 	WithUtil bool
@@ -164,9 +169,6 @@ func (s *side) times() taskTimes {
 // stacks and returns the measurements. The testbed engine is driven to
 // completion.
 func Run(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
-	if pr.Port == 0 {
-		pr.Port = 5010
-	}
 	if pr.Window == 0 {
 		pr.Window = 512 * units.KB
 	}
@@ -180,7 +182,7 @@ func Run(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 	rs.utilTask = rcv.K.NewTask("util", kern.PrioIdle, nil)
 	rs.bgdTask = rcv.K.NewTask("bgd", kern.PrioKern, nil)
 
-	lis := rcv.Stk.Listen(pr.Port)
+	lis := rcv.Stk.Listen(tcpPort)
 
 	var (
 		t0, t1         units.Time
@@ -216,7 +218,7 @@ func Run(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 	tb.Eng.Go("ttcp-snd", func(p *sim.Proc) {
 		cfg := snd.SocketConfig()
 		cfg.UIOThreshold = pr.UIOThreshold
-		conn, err := snd.Stk.Connect(snd.K.TaskCtx(p, ss.ttcpTask), rcv.Cfg.Addr, pr.Port)
+		conn, err := snd.Stk.Connect(snd.K.TaskCtx(p, ss.ttcpTask), rcv.Cfg.Addr, tcpPort)
 		if err != nil {
 			if pr.Tolerant {
 				sndErr = err.Error()
